@@ -24,10 +24,10 @@ const scenario::Scenario& acas_scenario() { return scenario::Registry::global().
 
 }  // namespace
 
-AcasSystem make_acas_system(NnDomain domain, const NnCacheConfig& nn_cache) {
+AcasSystem make_acas_system(NnDomain domain) {
   scenario::SystemConfig config;
   config.domain = domain;
-  config.nn_cache = nn_cache;
+  config.nn_cache = nn_cache_config_from_env();
   scenario::System assembled = acas_scenario().make_system(config);
   AcasSystem system;
   system.plant = std::move(assembled.plant);

@@ -29,11 +29,9 @@ struct AcasSystem {
 
 /// Assemble the registered "acasxu" scenario's closed loop — loading (or
 /// training once and caching) the 5 advisory networks with the paper's
-/// parameters (T = 1 s). The NN query cache defaults to the `NNCS_NN_CACHE`
-/// environment policy (memo when unset); pass an explicit config to pin a
-/// mode (the nn_cache bench sweeps them).
-AcasSystem make_acas_system(NnDomain domain = NnDomain::kSymbolic,
-                            const NnCacheConfig& nn_cache = nn_cache_config_from_env());
+/// parameters (T = 1 s). The NN query cache follows the `NNCS_NN_CACHE`
+/// environment policy (memo when unset).
+AcasSystem make_acas_system(NnDomain domain = NnDomain::kSymbolic);
 
 /// One per-cell verification record, flattened for CSV caching.
 struct CellRecord {

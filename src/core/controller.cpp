@@ -1,15 +1,11 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "interval/rounding.hpp"
 #include "nn/argmin_analysis.hpp"
 #include "nn/interval_prop.hpp"
 #include "obs/span.hpp"
@@ -18,132 +14,28 @@ namespace nncs {
 
 namespace {
 
-/// Domain tag for relational (zonotope-hull-keyed) cache entries. Distinct
-/// from every NnDomain enumerator, so `find_exact` on a box query can never
-/// replay a result that was only proved for one particular zonotope inside
-/// that hull.
-constexpr NnQueryCache::DomainTag kRelationalTag = 0x80;
-
-/// Post# sanity checks shared by the scalar/relational/batched steps.
-void validate_commands(const AbstractControlStep& result, std::size_t command_count,
-                       const char* who) {
+/// Post# sanity checks on one abstract step.
+void validate_commands(const AbstractControlStep& result, std::size_t command_count) {
   if (result.commands.empty()) {
-    throw std::logic_error(std::string(who) +
-                           ": Post# returned no commands (unsound abstract post-processor)");
+    throw std::logic_error(
+        "NeuralController: Post# returned no commands (unsound abstract post-processor)");
   }
   for (const std::size_t c : result.commands) {
     if (c >= command_count) {
-      throw std::logic_error(std::string(who) + ": Post# returned out-of-range command");
+      throw std::logic_error("NeuralController: Post# returned out-of-range command");
     }
   }
 }
 
-/// True when the affine forms represent exactly their hull box: at most one
-/// noise term per form and pairwise-distinct term symbols (the `AffineReuse`
-/// precondition).
-bool box_valid_inputs(const std::vector<Affine>& inputs) {
-  std::vector<std::uint32_t> ids;
-  for (const Affine& form : inputs) {
-    if (form.terms().size() > 1) {
-      return false;
-    }
-    if (!form.terms().empty()) {
-      ids.push_back(form.terms().front().first);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
-}
-
-/// Substitute ε_id = m + w·ε_id (w >= 0) into `form` for every id in `sub`,
-/// folding all rounding slack into the error term: the returned form over
-/// ε ∈ [-1,1] covers the original form over the restricted ranges. Symbol
-/// ids are preserved, so shared symbols still cancel in output differences.
-Affine restrict_form(const Affine& form,
-                     const std::unordered_map<std::uint32_t, std::pair<double, double>>& sub) {
-  double center_lo = form.center();
-  double center_hi = form.center();
-  double err = form.error();
-  std::vector<std::pair<std::uint32_t, double>> terms;
-  terms.reserve(form.terms().size());
-  for (const auto& term : form.terms()) {
-    const auto it = sub.find(term.first);
-    if (it == sub.end()) {
-      terms.push_back(term);
-      continue;
-    }
-    const double a = term.second;
-    const double m = it->second.first;
-    const double w = it->second.second;
-    // center += a·m, tracked as an interval to absorb the rounding.
-    const double p = a * m;
-    center_lo = rnd::add_down(center_lo, rnd::next_down(p));
-    center_hi = rnd::add_up(center_hi, rnd::next_up(p));
-    // Coefficient a·w: the rounded product can be one step off; the defect
-    // is bounded by next_up(|a·w|) - |a·w| and goes into err.
-    const double c = a * w;
-    if (c != 0.0) {
-      terms.emplace_back(term.first, c);
-      err = rnd::add_up(err, rnd::sub_up(rnd::next_up(std::fabs(c)), std::fabs(c)));
-    } else if (a != 0.0 && w != 0.0) {
-      err = rnd::add_up(err, rnd::next_up(0.0));  // whole product underflowed
-    }
-  }
-  const double center = 0.5 * (center_lo + center_hi);
-  err = rnd::add_up(err, std::max(rnd::sub_up(center_hi, center), rnd::sub_up(center, center_lo)));
-  return Affine::from_parts(center, std::move(terms), err);
-}
-
-/// Restrict a cached box-valid propagation to a tighter query box. Null when
-/// the query is not provably covered by the represented set (the cache key
-/// is the outward-rounded hull, which can be strictly wider than the set
-/// the cached forms actually parameterize).
-std::optional<ZonotopeBounds> restrict_affine_reuse(const AffineReuse& base, const Box& query) {
-  if (base.inputs.size() != query.dim()) {
-    return std::nullopt;
-  }
-  std::unordered_map<std::uint32_t, std::pair<double, double>> sub;
-  for (std::size_t d = 0; d < query.dim(); ++d) {
-    const Affine& in = base.inputs[d];
-    const double c = in.center();
-    const double e = in.error();
-    const double r = in.terms().empty() ? 0.0 : std::fabs(in.terms().front().second);
-    // Representability: query_d must sit inside [c - r - e, c + r + e],
-    // compared against inner bounds of that interval.
-    if (query[d].lo() < rnd::sub_up(rnd::sub_up(c, r), e) ||
-        query[d].hi() > rnd::add_down(rnd::add_down(c, r), e)) {
-      return std::nullopt;
-    }
-    if (r == 0.0) {
-      continue;  // constant dimension, nothing to restrict
-    }
-    // ε sub-range reproducing query_d: ((query_d + [-e, e]) - c) / coeff,
-    // outward rounded, clamped to [-1, 1].
-    const double coeff = in.terms().front().second;
-    const Interval eps =
-        (Interval{query[d].lo(), query[d].hi()} + Interval{-e, e} - Interval{c}) / Interval{coeff};
-    const double lo = std::max(eps.lo(), -1.0);
-    const double hi = std::min(eps.hi(), 1.0);
-    if (lo > hi) {
-      return std::nullopt;  // rounding artefact: no usable sub-range
-    }
-    if (lo <= -1.0 && hi >= 1.0) {
-      continue;  // no tightening on this symbol
-    }
-    const double m = 0.5 * (lo + hi);
-    const double w = std::max({rnd::sub_up(hi, m), rnd::sub_up(m, lo), 0.0});
-    sub.emplace(in.terms().front().first, std::pair<double, double>{m, w});
-  }
-  ZonotopeBounds bounds;
-  bounds.outputs.reserve(base.outputs.size());
-  std::vector<Interval> dims;
-  dims.reserve(base.outputs.size());
-  for (const Affine& out : base.outputs) {
-    bounds.outputs.push_back(sub.empty() ? out : restrict_form(out, sub));
-    dims.push_back(bounds.outputs.back().range());
-  }
-  bounds.output_box = Box{std::move(dims)};
-  return bounds;
+/// Post# on one propagation result: `bounds` is whatever the NN domain's
+/// transformer produced (output box, symbolic or zonotope bounds), so the
+/// matching `Postprocessor::eval_abstract` overload can prune on it.
+template <class Bounds>
+void apply_post(const Postprocessor& post, const Box& output, const Bounds& bounds,
+                AbstractControlStep& step) {
+  step.network_output = output;
+  NNCS_SPAN("nn.argmin");
+  step.commands = post.eval_abstract(bounds);
 }
 
 }  // namespace
@@ -248,166 +140,20 @@ std::size_t NeuralController::step(const Vec& state, std::size_t previous_comman
 }
 
 void NeuralController::configure_cache(const NnCacheConfig& cache) {
-  cache_ = cache.enabled() ? std::make_shared<NnQueryCache>(cache) : nullptr;
-}
-
-bool NeuralController::step_from_cache(std::size_t net_id, AbstractControlStep& result) const {
-  const auto domain_tag = static_cast<NnQueryCache::DomainTag>(domain_);
-  if (auto hit = cache_->find_exact(net_id, domain_tag, result.network_input)) {
-    // Exact match replays the propagation's own result, so memo mode keeps
-    // canonical reports byte-identical to cacheless runs.
-    result.commands = std::move(hit->commands);
-    result.network_output = std::move(hit->output_box);
-    cache_->count_hit(/*containment=*/false);
-    return true;
-  }
-  if (cache_->mode() != NnCacheMode::kContainment) {
-    cache_->count_miss(/*after_reuse_attempt=*/false);
-    return false;
-  }
-  if (domain_ == NnDomain::kSymbolic) {
-    // Containment reuse: affine bounds valid on a covering box B stay valid
-    // on the query box B' ⊆ B; re-concretizing them on B' (output box and
-    // the argmin's symbolic differences) yields a sound — if wider —
-    // enclosure.
-    const std::shared_ptr<const SymbolicBounds> base =
-        cache_->find_containing(net_id, domain_tag, result.network_input);
-    if (!base) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    auto reused = std::make_shared<SymbolicBounds>();
-    reused->input = result.network_input;
-    reused->outputs = base->outputs;
-    reused->output_box = concretize_output_box(reused->outputs, reused->input);
-    std::vector<std::size_t> commands;
-    {
-      NNCS_SPAN("nn.argmin");
-      commands = post_->eval_abstract(*reused);
-    }
-    if (commands.size() >= commands_.size()) {
-      // The widened bounds pruned nothing: propagate from scratch instead of
-      // accepting a worthless (though sound) full command set.
-      cache_->count_miss(/*after_reuse_attempt=*/true);
-      return false;
-    }
-    result.commands = std::move(commands);
-    result.network_output = reused->output_box;
-    cache_->count_hit(/*containment=*/true);
-    cache_->insert(net_id, domain_tag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, std::move(reused)});
-    return true;
-  }
-  if (domain_ == NnDomain::kAffine) {
-    // Zonotope-domain containment reuse: a cached box-valid propagation
-    // covering the query box is restricted to the query's noise-symbol
-    // sub-ranges (see restrict_affine_reuse) and re-pruned by Post#.
-    const std::shared_ptr<const AffineReuse> base =
-        cache_->find_containing_affine(net_id, domain_tag, result.network_input);
-    if (!base) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    const std::optional<ZonotopeBounds> restricted =
-        restrict_affine_reuse(*base, result.network_input);
-    if (!restricted) {
-      cache_->count_miss(/*after_reuse_attempt=*/false);
-      return false;
-    }
-    std::vector<std::size_t> commands;
-    {
-      NNCS_SPAN("nn.argmin");
-      commands = post_->eval_abstract(*restricted);
-    }
-    if (commands.size() >= commands_.size()) {
-      cache_->count_miss(/*after_reuse_attempt=*/true);
-      return false;
-    }
-    result.commands = std::move(commands);
-    result.network_output = restricted->output_box;
-    cache_->count_hit(/*containment=*/true);
-    // The new entry shares the covering payload: restriction re-derives
-    // everything from the payload and the key box, so it stays valid for
-    // any future query this (tighter) key box contains.
-    cache_->insert(net_id, domain_tag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, nullptr, base});
-    return true;
-  }
-  cache_->count_miss(/*after_reuse_attempt=*/false);
-  return false;
+  cache_ = cache.enabled() ? std::make_unique<NnQueryCache>(cache) : nullptr;
 }
 
 AbstractControlStep NeuralController::step_abstract(const Box& state,
                                                     std::size_t previous_command) const {
-  if (previous_command >= commands_.size()) {
-    throw std::out_of_range("NeuralController::step_abstract: bad previous command index");
-  }
-  const std::size_t net_id = selector_[previous_command];
-  const Network& net = networks_[net_id];
-  AbstractControlStep result;
-  result.network_input = pre_->eval_abstract(state);
-  if (!cache_ || !step_from_cache(net_id, result)) {
-    if (domain_ == NnDomain::kSymbolic) {
-      auto bounds = std::make_shared<SymbolicBounds>(symbolic_propagate(net, result.network_input));
-      result.network_output = bounds->output_box;
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(*bounds);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output,
-                                            std::move(bounds)});
-      }
-    } else if (domain_ == NnDomain::kAffine) {
-      // Lift the box explicitly (the exact sequence the boxed
-      // zonotope_propagate overload runs) so containment mode can cache the
-      // input parameterization alongside the output forms.
-      NoiseSource source;
-      std::vector<Affine> lifted;
-      lifted.reserve(result.network_input.dim());
-      for (std::size_t i = 0; i < result.network_input.dim(); ++i) {
-        lifted.push_back(Affine::variable(result.network_input[i].lo(),
-                                          result.network_input[i].hi(), source));
-      }
-      std::shared_ptr<const AffineReuse> payload;
-      ZonotopeBounds bounds;
-      if (cache_ && cache_->mode() == NnCacheMode::kContainment) {
-        auto reuse = std::make_shared<AffineReuse>();
-        reuse->inputs = lifted;  // fresh lift: box-valid by construction
-        bounds = zonotope_propagate(net, std::move(lifted), source);
-        reuse->outputs = bounds.outputs;
-        payload = std::move(reuse);
-      } else {
-        bounds = zonotope_propagate(net, std::move(lifted), source);
-      }
-      result.network_output = bounds.output_box;
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(bounds);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                            std::move(payload)});
-      }
-    } else {
-      result.network_output = interval_propagate(net, result.network_input);
-      {
-        NNCS_SPAN("nn.argmin");
-        result.commands = post_->eval_abstract(result.network_output);
-      }
-      if (cache_) {
-        cache_->insert(net_id, static_cast<NnQueryCache::DomainTag>(domain_),
-                       result.network_input,
-                       NnQueryCache::Result{result.commands, result.network_output, nullptr});
-      }
-    }
-  }
-  validate_commands(result, commands_.size(), "NeuralController::step_abstract");
-  return result;
+  return step_abstract_batch({AbstractState{state}}, {previous_command}).front();
+}
+
+AbstractControlStep NeuralController::step_abstract_relational(
+    const AffineSet& state, std::size_t previous_command) const {
+  return step_abstract_batch(
+             {AbstractState{state.concretize(), std::make_shared<const AffineSet>(state)}},
+             {previous_command})
+      .front();
 }
 
 std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
@@ -417,17 +163,11 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
     throw std::invalid_argument(
         "NeuralController::step_abstract_batch: states/commands size mismatch");
   }
-  if (cache_ && cache_->mode() == NnCacheMode::kContainment) {
-    // Containment reuse is query-order-dependent — every hit inserts an
-    // entry later queries may cover — so only the scalar loop replays it.
-    return Controller::step_abstract_batch(states, previous_commands);
-  }
   const std::size_t n = states.size();
   std::vector<AbstractControlStep> results(n);
-  // Phase 1: Pre# and the cache consult, per state in scalar order.
-  // Relational states keep their affine pre-image for phase 2 and bypass
-  // the memo cache entirely (box keys cannot distinguish two zonotopes
-  // with the same hull), exactly like the scalar relational step.
+  // Phase 1: Pre# and the memo consult, per state in order. Relational
+  // states keep their affine pre-image for phase 2 and bypass the memo
+  // (box keys cannot distinguish two zonotopes with the same hull).
   std::vector<std::optional<AffineSet>> pre_images(n);
   std::vector<std::size_t> miss_index;
   std::vector<std::size_t> miss_net;
@@ -438,226 +178,121 @@ std::vector<AbstractControlStep> NeuralController::step_abstract_batch(
       throw std::out_of_range("NeuralController::step_abstract_batch: bad previous command index");
     }
     const std::size_t net_id = selector_[previous_commands[i]];
+    AbstractControlStep& result = results[i];
     if (states[i].has_relational()) {
       pre_images[i].emplace(pre_->eval_abstract(*states[i].relational()));
-      results[i].network_input = pre_images[i]->concretize();
-      miss_index.push_back(i);
-      miss_net.push_back(net_id);
-      continue;
-    }
-    results[i].network_input = pre_->eval_abstract(states[i].box());
-    if (cache_ && step_from_cache(net_id, results[i])) {
-      continue;
+      result.network_input = pre_images[i]->concretize();
+    } else {
+      result.network_input = pre_->eval_abstract(states[i].box());
+      if (cache_) {
+        if (auto hit = cache_->find_exact(net_id, result.network_input)) {
+          // Exact match replays the propagation's own result, so memo mode
+          // keeps canonical reports byte-identical to cacheless runs.
+          result.commands = std::move(hit->commands);
+          result.network_output = std::move(hit->output_box);
+          cache_->count_hit();
+          continue;
+        }
+        cache_->count_miss();
+      }
     }
     miss_index.push_back(i);
     miss_net.push_back(net_id);
   }
-  // Phase 2: per selected network (first-appearance order). Box misses are
-  // deduplicated on input-box equality — the scalar loop would have turned
-  // the repeats into memo hits replaying the first propagation. Relational
+  // Phase 2: per selected network (first-appearance order), one batched
+  // sweep. Box misses are deduplicated on input-box equality — a repeat
+  // replays the first propagation, just as a memo hit would. Relational
   // misses are never deduplicated (equal hulls do not imply equal
-  // zonotopes) and always go through the batched zonotope transformer,
-  // matching the scalar `step_abstract_relational` regardless of domain.
+  // zonotopes) and always go through the zonotope transformer, whatever
+  // the NN domain.
   std::vector<bool> handled(miss_index.size(), false);
   for (std::size_t m0 = 0; m0 < miss_index.size(); ++m0) {
     if (handled[m0]) {
       continue;
     }
     const std::size_t net_id = miss_net[m0];
-    std::vector<std::size_t> relational_miss;          // positions into miss_index
-    std::vector<std::size_t> unique_miss;              // positions into miss_index
-    std::vector<std::vector<std::size_t>> duplicates;  // extra positions per unique
+    std::vector<std::size_t> relational;              // indices into results
+    std::vector<std::size_t> unique;                  // indices into results
+    std::vector<std::vector<std::size_t>> duplicates;  // extra indices per unique
     for (std::size_t m = m0; m < miss_index.size(); ++m) {
       if (handled[m] || miss_net[m] != net_id) {
         continue;
       }
       handled[m] = true;
-      if (pre_images[miss_index[m]].has_value()) {
-        relational_miss.push_back(m);
+      const std::size_t i = miss_index[m];
+      if (pre_images[i].has_value()) {
+        relational.push_back(i);
         continue;
       }
-      const Box& box = results[miss_index[m]].network_input;
-      bool duplicate = false;
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        if (results[miss_index[unique_miss[u]]].network_input == box) {
-          duplicates[u].push_back(m);
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        unique_miss.push_back(m);
+      const auto same_input = [&](std::size_t u) {
+        return results[u].network_input == results[i].network_input;
+      };
+      const auto it = std::find_if(unique.begin(), unique.end(), same_input);
+      if (it != unique.end()) {
+        duplicates[static_cast<std::size_t>(it - unique.begin())].push_back(i);
+      } else {
+        unique.push_back(i);
         duplicates.emplace_back();
       }
     }
     const Network& net = networks_[net_id];
-    const auto domain_tag = static_cast<NnQueryCache::DomainTag>(domain_);
-    if (!relational_miss.empty()) {
-      std::vector<const AffineSet*> affine_inputs;
-      affine_inputs.reserve(relational_miss.size());
-      for (const std::size_t m : relational_miss) {
-        affine_inputs.push_back(&*pre_images[miss_index[m]]);
+    if (!relational.empty()) {
+      std::vector<const AffineSet*> inputs;
+      inputs.reserve(relational.size());
+      for (const std::size_t i : relational) {
+        inputs.push_back(&*pre_images[i]);
       }
       std::vector<ZonotopeBounds> all;
       {
         NNCS_SPAN("nn.zonotope");
-        all = zonotope_propagate_batch(net, affine_inputs);
+        all = zonotope_propagate_batch(net, inputs);
       }
-      for (std::size_t k = 0; k < relational_miss.size(); ++k) {
-        NNCS_COUNT("nn.relational_steps", 1);
-        AbstractControlStep& result = results[miss_index[relational_miss[k]]];
-        result.network_output = all[k].output_box;
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(all[k]);
-        }
+      NNCS_COUNT("nn.relational_steps", relational.size());
+      for (std::size_t k = 0; k < relational.size(); ++k) {
+        apply_post(*post_, all[k].output_box, all[k], results[relational[k]]);
       }
     }
-    if (unique_miss.empty()) {
+    if (unique.empty()) {
       continue;
     }
     std::vector<Box> inputs;
-    inputs.reserve(unique_miss.size());
-    for (const std::size_t u : unique_miss) {
-      inputs.push_back(results[miss_index[u]].network_input);
+    inputs.reserve(unique.size());
+    for (const std::size_t i : unique) {
+      inputs.push_back(results[i].network_input);
     }
+    // F# and Post#: only the transformer and the Post# overload differ.
     if (domain_ == NnDomain::kSymbolic) {
-      std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        auto bounds = std::make_shared<SymbolicBounds>(std::move(all[u]));
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = bounds->output_box;
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(*bounds);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output,
-                                              std::move(bounds)});
-        }
+      const std::vector<SymbolicBounds> all = symbolic_propagate_batch(net, inputs);
+      for (std::size_t u = 0; u < unique.size(); ++u) {
+        apply_post(*post_, all[u].output_box, all[u], results[unique[u]]);
       }
     } else if (domain_ == NnDomain::kAffine) {
-      std::vector<ZonotopeBounds> all = zonotope_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = all[u].output_box;
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(all[u]);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr});
-        }
+      const std::vector<ZonotopeBounds> all = zonotope_propagate_batch(net, inputs);
+      for (std::size_t u = 0; u < unique.size(); ++u) {
+        apply_post(*post_, all[u].output_box, all[u], results[unique[u]]);
       }
     } else {
-      std::vector<Box> outputs = interval_propagate_batch(net, inputs);
-      for (std::size_t u = 0; u < unique_miss.size(); ++u) {
-        AbstractControlStep& result = results[miss_index[unique_miss[u]]];
-        result.network_output = std::move(outputs[u]);
-        {
-          NNCS_SPAN("nn.argmin");
-          result.commands = post_->eval_abstract(result.network_output);
-        }
-        for (const std::size_t d : duplicates[u]) {
-          AbstractControlStep& dup = results[miss_index[d]];
-          dup.commands = result.commands;
-          dup.network_output = result.network_output;
-        }
-        if (cache_) {
-          cache_->insert(net_id, domain_tag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr});
-        }
+      const std::vector<Box> all = interval_propagate_batch(net, inputs);
+      for (std::size_t u = 0; u < unique.size(); ++u) {
+        apply_post(*post_, all[u], all[u], results[unique[u]]);
+      }
+    }
+    for (std::size_t u = 0; u < unique.size(); ++u) {
+      const AbstractControlStep& result = results[unique[u]];
+      for (const std::size_t d : duplicates[u]) {
+        results[d].commands = result.commands;
+        results[d].network_output = result.network_output;
+      }
+      if (cache_) {
+        cache_->insert(net_id, result.network_input,
+                       NnQueryCache::Result{result.commands, result.network_output});
       }
     }
   }
   for (const AbstractControlStep& result : results) {
-    validate_commands(result, commands_.size(), "NeuralController::step_abstract_batch");
+    validate_commands(result, commands_.size());
   }
   return results;
-}
-
-AbstractControlStep NeuralController::step_abstract_relational(
-    const AffineSet& state, std::size_t previous_command) const {
-  if (previous_command >= commands_.size()) {
-    throw std::out_of_range(
-        "NeuralController::step_abstract_relational: bad previous command index");
-  }
-  const std::size_t net_id = selector_[previous_command];
-  const Network& net = networks_[net_id];
-  AffineSet pre_image = pre_->eval_abstract(state);
-  AbstractControlStep result;
-  result.network_input = pre_image.concretize();
-  const bool containment = cache_ && cache_->mode() == NnCacheMode::kContainment;
-  if (containment) {
-    // Containment reuse on the concretized hull: bounds sound for a
-    // covering box-valid propagation are sound for every zonotope inside
-    // that box, in particular this query (whose own correlations simply go
-    // unused — hence the no-pruning fallback below).
-    bool attempted = false;
-    if (const std::shared_ptr<const AffineReuse> base =
-            cache_->find_containing_affine(net_id, kRelationalTag, result.network_input)) {
-      if (const std::optional<ZonotopeBounds> restricted =
-              restrict_affine_reuse(*base, result.network_input)) {
-        attempted = true;
-        std::vector<std::size_t> commands;
-        {
-          NNCS_SPAN("nn.argmin");
-          commands = post_->eval_abstract(*restricted);
-        }
-        if (commands.size() < commands_.size()) {
-          result.commands = std::move(commands);
-          result.network_output = restricted->output_box;
-          cache_->count_hit(/*containment=*/true);
-          cache_->insert(net_id, kRelationalTag, result.network_input,
-                         NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                              base});
-          validate_commands(result, commands_.size(),
-                            "NeuralController::step_abstract_relational");
-          return result;
-        }
-      }
-    }
-    cache_->count_miss(/*after_reuse_attempt=*/attempted);
-  }
-  // ReLU relaxations allocate fresh symbols from a *copy* of the set's
-  // source: the network-side symbols stay local to this query and can
-  // never collide with symbols the caller keeps threading.
-  NoiseSource scratch = pre_image.noise();
-  ZonotopeBounds bounds;
-  {
-    NNCS_SPAN("nn.zonotope");
-    bounds = zonotope_propagate(net, pre_image.components(), scratch);
-  }
-  NNCS_COUNT("nn.relational_steps", 1);
-  result.network_output = bounds.output_box;
-  {
-    NNCS_SPAN("nn.argmin");
-    result.commands = post_->eval_abstract(bounds);
-  }
-  if (containment && box_valid_inputs(pre_image.components())) {
-    // Only box-valid pre-images are reusable (see AffineReuse); a general
-    // zonotope's hull admits points the propagation never covered.
-    auto reuse = std::make_shared<AffineReuse>();
-    reuse->inputs = pre_image.components();
-    reuse->outputs = bounds.outputs;
-    cache_->insert(net_id, kRelationalTag, result.network_input,
-                   NnQueryCache::Result{result.commands, result.network_output, nullptr,
-                                        std::move(reuse)});
-  }
-  validate_commands(result, commands_.size(), "NeuralController::step_abstract_relational");
-  return result;
 }
 
 }  // namespace nncs

@@ -36,23 +36,6 @@ std::size_t entry_bytes(const Box& input, const NnQueryCache::Result& result) {
   std::size_t bytes = 2 * input.dim() * sizeof(Interval);  // entry key + index key
   bytes += result.commands.size() * sizeof(std::size_t);
   bytes += result.output_box.dim() * sizeof(Interval);
-  if (result.symbolic) {
-    const SymbolicBounds& sb = *result.symbolic;
-    bytes += sizeof(SymbolicBounds);
-    bytes += (sb.input.dim() + sb.output_box.dim()) * sizeof(Interval);
-    for (const NeuronBounds& nb : sb.outputs) {
-      bytes += sizeof(NeuronBounds);
-      bytes += (nb.lower.coeffs.size() + nb.upper.coeffs.size()) * sizeof(double);
-    }
-  }
-  if (result.affine) {
-    bytes += sizeof(AffineReuse);
-    for (const auto* forms : {&result.affine->inputs, &result.affine->outputs}) {
-      for (const Affine& form : *forms) {
-        bytes += sizeof(Affine) + form.terms().size() * sizeof(form.terms().front());
-      }
-    }
-  }
   return bytes;
 }
 
@@ -64,8 +47,6 @@ const char* to_string(NnCacheMode mode) {
       return "off";
     case NnCacheMode::kMemo:
       return "memo";
-    case NnCacheMode::kContainment:
-      return "containment";
   }
   return "?";
 }
@@ -76,9 +57,6 @@ std::optional<NnCacheMode> parse_nn_cache_mode(std::string_view text) {
   }
   if (text == "memo") {
     return NnCacheMode::kMemo;
-  }
-  if (text == "containment") {
-    return NnCacheMode::kContainment;
   }
   return std::nullopt;
 }
@@ -98,7 +76,6 @@ NnCacheConfig nn_cache_config_from_env() {
 
 std::size_t NnQueryCache::KeyHash::operator()(const Key& key) const {
   std::size_t seed = hash_combine(0, key.net_id);
-  seed = hash_combine(seed, key.domain);
   for (const Interval& iv : key.input.intervals()) {
     seed = hash_combine(seed, bound_bits(iv.lo()));
     seed = hash_combine(seed, bound_bits(iv.hi()));
@@ -115,17 +92,15 @@ NnQueryCache::NnQueryCache(NnCacheConfig config) : config_(config) {
 
 NnQueryCache::~NnQueryCache() { clear(); }
 
-NnQueryCache::Shard& NnQueryCache::shard_for(std::size_t net_id, DomainTag domain,
-                                             const Box& input) {
-  Key probe{net_id, domain, input};
-  return shards_[KeyHash{}(probe) % kShards];
+NnQueryCache::Shard& NnQueryCache::shard_for(const Key& key) {
+  return shards_[KeyHash{}(key) % kShards];
 }
 
-std::optional<NnQueryCache::Result> NnQueryCache::find_exact(std::size_t net_id, DomainTag domain,
+std::optional<NnQueryCache::Result> NnQueryCache::find_exact(std::size_t net_id,
                                                              const Box& input) {
   NNCS_SPAN("nn.cache.lookup");
-  Shard& shard = shard_for(net_id, domain, input);
-  const Key key{net_id, domain, input};
+  const Key key{net_id, input};
+  Shard& shard = shard_for(key);
   std::lock_guard lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
@@ -135,70 +110,9 @@ std::optional<NnQueryCache::Result> NnQueryCache::find_exact(std::size_t net_id,
   return it->second->result;
 }
 
-std::shared_ptr<const SymbolicBounds> NnQueryCache::find_containing(std::size_t net_id,
-                                                                    DomainTag domain,
-                                                                    const Box& input) {
-  NNCS_SPAN("nn.cache.lookup");
-  // Containment is not a hash lookup: scan the shard's MRU window for the
-  // tightest covering box. Shards are per-key, so a parent's entry lives in
-  // a different shard than its child's exact slot would — scan them all.
-  std::shared_ptr<const SymbolicBounds> best;
-  double best_volume = 0.0;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    std::size_t scanned = 0;
-    for (const Entry& entry : shard.lru) {
-      if (++scanned > config_.containment_scan) {
-        break;
-      }
-      if (entry.key.net_id != net_id || entry.key.domain != domain || !entry.result.symbolic) {
-        continue;
-      }
-      if (!entry.key.input.contains(input)) {
-        continue;
-      }
-      const double volume = entry.key.input.volume();
-      if (!best || volume < best_volume) {
-        best = entry.result.symbolic;
-        best_volume = volume;
-      }
-    }
-  }
-  return best;
-}
-
-std::shared_ptr<const AffineReuse> NnQueryCache::find_containing_affine(std::size_t net_id,
-                                                                        DomainTag domain,
-                                                                        const Box& input) {
-  NNCS_SPAN("nn.cache.lookup");
-  std::shared_ptr<const AffineReuse> best;
-  double best_volume = 0.0;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    std::size_t scanned = 0;
-    for (const Entry& entry : shard.lru) {
-      if (++scanned > config_.containment_scan) {
-        break;
-      }
-      if (entry.key.net_id != net_id || entry.key.domain != domain || !entry.result.affine) {
-        continue;
-      }
-      if (!entry.key.input.contains(input)) {
-        continue;
-      }
-      const double volume = entry.key.input.volume();
-      if (!best || volume < best_volume) {
-        best = entry.result.affine;
-        best_volume = volume;
-      }
-    }
-  }
-  return best;
-}
-
-void NnQueryCache::insert(std::size_t net_id, DomainTag domain, const Box& input, Result result) {
-  Shard& shard = shard_for(net_id, domain, input);
-  Key key{net_id, domain, input};
+void NnQueryCache::insert(std::size_t net_id, const Box& input, Result result) {
+  Key key{net_id, input};
+  Shard& shard = shard_for(key);
   const std::size_t bytes = entry_bytes(input, result);
   std::size_t evicted = 0;
   std::size_t evicted_bytes = 0;
@@ -242,30 +156,20 @@ void NnQueryCache::insert(std::size_t net_id, DomainTag domain, const Box& input
   }
 }
 
-void NnQueryCache::count_hit(bool containment) {
+void NnQueryCache::count_hit() {
   hits_.fetch_add(1, std::memory_order_relaxed);
   NNCS_COUNT("nn.cache.hits", 1);
-  if (containment) {
-    containment_hits_.fetch_add(1, std::memory_order_relaxed);
-    NNCS_COUNT("nn.cache.containment_hits", 1);
-  }
 }
 
-void NnQueryCache::count_miss(bool after_reuse_attempt) {
+void NnQueryCache::count_miss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
   NNCS_COUNT("nn.cache.misses", 1);
-  if (after_reuse_attempt) {
-    reuse_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    NNCS_COUNT("nn.cache.reuse_fallbacks", 1);
-  }
 }
 
 NnQueryCache::Stats NnQueryCache::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
-  s.containment_hits = containment_hits_.load(std::memory_order_relaxed);
-  s.reuse_fallbacks = reuse_fallbacks_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);

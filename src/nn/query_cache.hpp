@@ -5,16 +5,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "interval/affine.hpp"
 #include "interval/box.hpp"
-#include "nn/symbolic_prop.hpp"
 
 namespace nncs {
 
@@ -31,31 +28,17 @@ enum class NnCacheMode {
   /// produces fresh boxes); memo pays off when the same partition is
   /// analyzed repeatedly in one process (resume, re-verification, benches).
   kMemo,
-  /// Memo plus containment reuse: a cached entry whose input box contains
-  /// the query box is re-concretized on the tighter query box. For the
-  /// symbolic domain the cached `SymbolicBounds` are re-evaluated on the
-  /// query box; for the affine/zonotope domain a cached box-valid
-  /// propagation (`AffineReuse`) is restricted to the query box's
-  /// noise-symbol sub-ranges. Sound — bounds valid on B ⊇ B' are valid on
-  /// B' — but wider than fresh propagation, so enclosures (and therefore
-  /// reports) may differ from `kOff`.
-  kContainment,
 };
 
 [[nodiscard]] const char* to_string(NnCacheMode mode);
 
-/// Parse "off" / "memo" / "containment"; nullopt on anything else.
+/// Parse "off" / "memo"; nullopt on anything else.
 [[nodiscard]] std::optional<NnCacheMode> parse_nn_cache_mode(std::string_view text);
 
 struct NnCacheConfig {
   NnCacheMode mode = NnCacheMode::kMemo;
   /// LRU bound on the total number of cached queries (split across shards).
   std::size_t max_entries = std::size_t{1} << 16;
-  /// Most-recently-used entries examined per containment lookup. Bounds the
-  /// linear scan — containment is a range query an exact-match hash map
-  /// cannot answer, and recency correlates with containment (children are
-  /// analyzed soon after the parent whose box covers theirs).
-  std::size_t containment_scan = 64;
 
   [[nodiscard]] bool enabled() const {
     return mode != NnCacheMode::kOff && max_entries > 0;
@@ -63,63 +46,30 @@ struct NnCacheConfig {
 };
 
 /// Cache config from the `NNCS_NN_CACHE` environment variable
-/// ("off" / "memo" / "containment"; unset or unparsable → memo default).
+/// ("off" / "memo"; unset or unparsable → memo default).
 [[nodiscard]] NnCacheConfig nn_cache_config_from_env();
 
-/// Cached affine-arithmetic propagation, retained so containment mode can
-/// restrict it to tighter query boxes. Only *box-valid* propagations are
-/// cached this way: every input form has at most one noise term and the
-/// term symbols are pairwise distinct, so the set the inputs represent is
-/// exactly an axis-aligned box (per dimension `c_i + r_i·ε_i ± err_i`).
-/// That makes two things decidable that are not for a general zonotope:
-/// whether a query box is covered by the represented set, and which
-/// sub-range of each ε_i reproduces it. The outputs are the propagation's
-/// affine forms over those input symbols (plus fresh ReLU symbols, which
-/// restriction leaves at [-1, 1]).
-struct AffineReuse {
-  std::vector<Affine> inputs;
-  std::vector<Affine> outputs;
-};
-
 /// Sharded, thread-safe, LRU-bounded memo of abstract NN controller-step
-/// results, keyed by (network id, abstract domain, pre-processed input
-/// box). One instance is shared by every thread analyzing cells of one
-/// verification run (it hangs off the `NeuralController`), so reuse crosses
-/// cell and thread boundaries. The domain tag keeps mixed-domain sharing
-/// sound: an interval-domain result replayed for a symbolic-domain query
-/// (or vice versa) would silently substitute one transformer's enclosure
-/// for another's. Relational (affine-input) queries never use exact-match
-/// replay — a box key cannot distinguish two zonotopes with the same hull —
-/// and their entries live under a dedicated domain tag so box queries can
-/// never replay them either; in containment mode they participate through
-/// `find_containing_affine` on the concretized hull, which is sound because
-/// the query zonotope is contained in its hull.
+/// results, keyed by (network id, pre-processed input box). One instance is
+/// owned by one `NeuralController` — and so serves one abstract domain — and
+/// is shared by every thread analyzing cells of one verification run, so
+/// reuse crosses cell and thread boundaries. Relational (affine-input)
+/// queries never use it: a box key cannot distinguish two zonotopes with
+/// the same hull.
 ///
 /// Box keys hash their bounds' bit patterns with -0.0 canonicalized to 0.0,
 /// matching `Box::operator==` (which compares doubles, so -0.0 == 0.0).
 class NnQueryCache {
  public:
-  /// Opaque domain tag mixed into the key (callers pass their NnDomain
-  /// enumerator value; the cache only needs distinctness).
-  using DomainTag = std::uint8_t;
-  /// One cached abstract step: the pruned command set and output enclosure,
-  /// plus — for symbolic-domain entries — the affine bounds themselves so
-  /// containment mode can re-concretize them on tighter boxes.
+  /// One cached abstract step: the pruned command set and output enclosure.
   struct Result {
     std::vector<std::size_t> commands;
     Box output_box;
-    std::shared_ptr<const SymbolicBounds> symbolic;
-    /// Box-valid affine propagation for zonotope-domain containment reuse;
-    /// null outside containment mode (or when the inputs were not
-    /// box-valid).
-    std::shared_ptr<const AffineReuse> affine;
   };
 
   struct Stats {
-    std::uint64_t hits = 0;              ///< queries answered from the cache
-    std::uint64_t misses = 0;            ///< queries that propagated from scratch
-    std::uint64_t containment_hits = 0;  ///< subset of hits: containment reuse
-    std::uint64_t reuse_fallbacks = 0;   ///< subset of misses: reused bounds pruned nothing
+    std::uint64_t hits = 0;    ///< queries answered from the cache
+    std::uint64_t misses = 0;  ///< queries that propagated from scratch
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
@@ -141,33 +91,16 @@ class NnQueryCache {
   [[nodiscard]] NnCacheMode mode() const { return config_.mode; }
 
   /// Exact-match lookup; promotes the entry to most-recently-used. Does not
-  /// touch the hit/miss statistics — the caller reports the overall outcome
-  /// of the step through count_hit()/count_miss() once it is known.
-  [[nodiscard]] std::optional<Result> find_exact(std::size_t net_id, DomainTag domain,
-                                                 const Box& input);
-
-  /// Tightest cached entry of the same domain carrying symbolic bounds
-  /// (within the containment_scan MRU window of each shard) whose input box
-  /// contains `input`; null when none.
-  [[nodiscard]] std::shared_ptr<const SymbolicBounds> find_containing(std::size_t net_id,
-                                                                      DomainTag domain,
-                                                                      const Box& input);
-
-  /// Affine-domain analogue of `find_containing`: tightest cached entry of
-  /// the same domain carrying an `AffineReuse` payload whose input box
-  /// contains `input`. The caller still has to verify the payload's
-  /// *represented* set covers the query (the key box is the outward-rounded
-  /// hull, which can be strictly wider) before restricting it.
-  [[nodiscard]] std::shared_ptr<const AffineReuse> find_containing_affine(std::size_t net_id,
-                                                                          DomainTag domain,
-                                                                          const Box& input);
+  /// touch the hit/miss statistics — the caller reports the outcome through
+  /// count_hit()/count_miss().
+  [[nodiscard]] std::optional<Result> find_exact(std::size_t net_id, const Box& input);
 
   /// Insert (or refresh) an entry; evicts least-recently-used entries past
   /// `max_entries`.
-  void insert(std::size_t net_id, DomainTag domain, const Box& input, Result result);
+  void insert(std::size_t net_id, const Box& input, Result result);
 
-  void count_hit(bool containment);
-  void count_miss(bool after_reuse_attempt);
+  void count_hit();
+  void count_miss();
 
   /// Merged statistics across shards (approximate while writers race).
   [[nodiscard]] Stats stats() const;
@@ -178,11 +111,10 @@ class NnQueryCache {
  private:
   struct Key {
     std::size_t net_id = 0;
-    DomainTag domain = 0;
     Box input;
 
     bool operator==(const Key& other) const {
-      return net_id == other.net_id && domain == other.domain && input == other.input;
+      return net_id == other.net_id && input == other.input;
     }
   };
 
@@ -204,7 +136,7 @@ class NnQueryCache {
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
   };
 
-  Shard& shard_for(std::size_t net_id, DomainTag domain, const Box& input);
+  Shard& shard_for(const Key& key);
 
   NnCacheConfig config_;
   std::size_t max_per_shard_ = 0;
@@ -212,8 +144,6 @@ class NnQueryCache {
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> containment_hits_{0};
-  std::atomic<std::uint64_t> reuse_fallbacks_{0};
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::size_t> entries_{0};

@@ -75,9 +75,8 @@ Interval concretize(const AffineForm& form, const Box& input);
 /// concretizations cross (lower's infimum above upper's supremum — only
 /// possible through rounding slack, never for truly sound forms), the
 /// dimension falls back to the hull of both enclosures, which is a
-/// guaranteed enclosure either way. Shared by `symbolic_propagate` and the
-/// NN query cache's containment reuse (re-concretizing stored forms on a
-/// tighter box).
+/// guaranteed enclosure either way. Shared by `symbolic_propagate` and
+/// `symbolic_propagate_batch`.
 Box concretize_output_box(const std::vector<NeuronBounds>& outputs, const Box& input);
 
 /// Enclosure of the *difference* output_i − output_j over the input box,

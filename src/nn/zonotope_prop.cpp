@@ -28,6 +28,8 @@ ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs
     throw std::invalid_argument("zonotope_propagate: input dimension mismatch");
   }
   std::vector<Affine> current = std::move(inputs);
+  // Every unstable ReLU draws exactly one fresh symbol from `source`.
+  const std::uint32_t symbols_before = source.count();
 
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
     const Layer& layer = net.layers()[li];
@@ -46,6 +48,7 @@ ZonotopeBounds zonotope_propagate(const Network& net, std::vector<Affine> inputs
     }
     current = std::move(next);
   }
+  NNCS_COUNT("nn.relaxed_relus", source.count() - symbols_before);
 
   ZonotopeBounds result;
   std::vector<Interval> dims;
@@ -141,6 +144,7 @@ void scatter_lane(kern::AffineFormBatch& batch, std::size_t f, std::size_t l,
 /// the scalar per-state NoiseSource.
 void relu_stage(kern::AffineFormBatch& cur, std::vector<LaneSymbols>& lanes_sym) {
   const std::size_t lanes = cur.lanes;
+  std::uint64_t relaxed = 0;
   for (std::size_t r = 0; r < cur.width; ++r) {
     std::size_t fresh_slot = kNoSlot;
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -158,6 +162,7 @@ void relu_stage(kern::AffineFormBatch& cur, std::vector<LaneSymbols>& lanes_sym)
         cur.err[r * lanes + l] = 0.0;
         continue;
       }
+      ++relaxed;
       const std::uint32_t fresh_id = lanes_sym[l].next_fresh;
       NoiseSource src{fresh_id};
       const Affine out = form.relu(src);
@@ -169,6 +174,7 @@ void relu_stage(kern::AffineFormBatch& cur, std::vector<LaneSymbols>& lanes_sym)
       scatter_lane(cur, r, l, lanes_sym[l], out);
     }
   }
+  NNCS_COUNT("nn.relaxed_relus", relaxed);
 }
 
 /// Propagate one chunk (<= kern::kMaxLanes lanes). `lane_forms[l]` are lane

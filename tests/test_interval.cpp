@@ -303,6 +303,10 @@ struct OpCase {
   bool positive_rhs;  // restrict second operand to positive values
 };
 
+// Print a case by its name: the default byte dump would put the address of
+// `name` into every discovered CTest name, which then changes between runs.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class IntervalContainment : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(IntervalContainment, RandomSamplesStayInside) {

@@ -1,8 +1,9 @@
 // Tests for the batched SoA propagation kernels (nn/kernels.hpp): the
 // rounding primitives against their libm references, ISA dispatch parsing,
-// and — the load-bearing property — bit-identity of the batched interval
-// and symbolic transformers against the scalar reference transformers on
-// fuzzed networks, for every compiled back end.
+// and — the load-bearing property — bit-identity of the batched interval,
+// symbolic and zonotope transformers (and of the batched controller step
+// built on them) against the scalar reference transformers on fuzzed
+// networks, for every compiled back end.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "core/controller.hpp"
 #include "interval/affine_set.hpp"
+#include "interval/rounding.hpp"
 #include "nn/interval_prop.hpp"
 #include "nn/kernels.hpp"
 #include "nn/symbolic_prop.hpp"
@@ -113,15 +115,25 @@ TEST(Kernels, NextUpDownMatchNextafter) {
                                  1.0,
                                  -1.0,
                                  std::numeric_limits<double>::infinity(),
-                                 -std::numeric_limits<double>::infinity()};
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 -std::numeric_limits<double>::quiet_NaN()};
+  // NaN payloads a plain sign-magnitude step would walk off the NaN range:
+  // onto -0.0, onto -inf, or onto the neighbouring infinity.
+  for (const std::uint64_t nan_bits :
+       {0x7fffffffffffffffULL, 0xfff0000000000001ULL, 0x7ff0000000000001ULL,
+        0xffffffffffffffffULL, 0x7ff8000000000000ULL, 0xfff4000000000000ULL}) {
+    samples.push_back(std::bit_cast<double>(nan_bits));
+  }
   for (int i = 0; i < 5000; ++i) {
     samples.push_back(rng.uniform(-1e9, 1e9) * std::pow(10.0, rng.uniform_int(-30, 30)));
   }
   for (const double x : samples) {
     const double up = std::nextafter(x, std::numeric_limits<double>::infinity());
     const double down = std::nextafter(x, -std::numeric_limits<double>::infinity());
-    EXPECT_TRUE(bits_eq(kern::next_up(x), up)) << "next_up(" << x << ")";
-    EXPECT_TRUE(bits_eq(kern::next_down(x), down)) << "next_down(" << x << ")";
+    EXPECT_TRUE(bits_eq(rnd::next_up(x), up)) << "next_up(0x" << std::hex << bits_of(x) << ")";
+    EXPECT_TRUE(bits_eq(rnd::next_down(x), down))
+        << "next_down(0x" << std::hex << bits_of(x) << ")";
   }
 }
 
@@ -341,103 +353,170 @@ TEST(Kernels, ZonotopeRelationalBatchBitwiseEqualsScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Controller-level identity: step_abstract_batch vs a scalar step loop.
+// Controller-level identity: NeuralController (whose scalar steps are
+// batches of one) vs a test-local reference built only from the scalar
+// transformers — Pre#, then interval_propagate / symbolic_propagate /
+// zonotope_propagate, then ArgminPost — so the batched path is never
+// compared with itself.
+
+constexpr std::size_t kStateDim = 3;
+constexpr std::size_t kNumCommands = 4;
+
+// Two networks so the selector actually routes different batch members to
+// different nets (commands 0/1 -> net 0, commands 2/3 -> net 1).
+std::vector<Network> controller_nets(std::uint64_t seed) {
+  std::vector<Network> nets;
+  nets.push_back(random_network(seed, {kStateDim, 8, kNumCommands}));
+  nets.push_back(random_network(seed + 1, {kStateDim, 8, kNumCommands}));
+  return nets;
+}
+
+const std::vector<std::size_t> kSelector = {0, 0, 1, 1};
 
 NeuralController make_controller(NnDomain domain, NnCacheMode cache_mode, std::uint64_t seed) {
-  constexpr std::size_t kStateDim = 3;
-  constexpr std::size_t kNumCommands = 4;
   std::vector<Vec> command_vectors;
   for (std::size_t c = 0; c < kNumCommands; ++c) {
     command_vectors.push_back(Vec{static_cast<double>(c)});
   }
-  // Two networks so the selector actually routes different batch members to
-  // different nets (commands 0/1 -> net 0, commands 2/3 -> net 1).
-  std::vector<Network> nets;
-  nets.push_back(random_network(seed, {kStateDim, 8, kNumCommands}));
-  nets.push_back(random_network(seed + 1, {kStateDim, 8, kNumCommands}));
-  std::vector<std::size_t> selector = {0, 0, 1, 1};
   NnCacheConfig cache;
   cache.mode = cache_mode;
-  return NeuralController(CommandSet{command_vectors}, std::move(nets), std::move(selector),
+  return NeuralController(CommandSet{command_vectors}, controller_nets(seed), kSelector,
                           std::make_unique<IdentityPre>(kStateDim),
                           std::make_unique<ArgminPost>(), domain, cache);
 }
 
-void expect_batch_matches_scalar(NnDomain domain, NnCacheMode cache_mode) {
-  // Two independent controllers so the scalar loop's cache state cannot
-  // leak into the batched run (and vice versa).
-  const NeuralController scalar_ctrl = make_controller(domain, cache_mode, 900);
-  const NeuralController batch_ctrl = make_controller(domain, cache_mode, 900);
+/// Scalar Pre# -> F# -> Post# over the same networks as make_controller.
+struct ReferenceController {
+  NnDomain domain;
+  std::vector<Network> nets;
+  IdentityPre pre{kStateDim};
+  ArgminPost post;
+
+  ReferenceController(NnDomain d, std::uint64_t seed) : domain(d), nets(controller_nets(seed)) {}
+
+  [[nodiscard]] AbstractControlStep step(const Box& state, std::size_t prev) const {
+    const Network& net = nets[kSelector[prev]];
+    AbstractControlStep result;
+    result.network_input = pre.eval_abstract(state);
+    if (domain == NnDomain::kSymbolic) {
+      const SymbolicBounds bounds = symbolic_propagate(net, result.network_input);
+      result.network_output = bounds.output_box;
+      result.commands = post.eval_abstract(bounds);
+    } else if (domain == NnDomain::kAffine) {
+      const ZonotopeBounds bounds = zonotope_propagate(net, result.network_input);
+      result.network_output = bounds.output_box;
+      result.commands = post.eval_abstract(bounds);
+    } else {
+      result.network_output = interval_propagate(net, result.network_input);
+      result.commands = post.eval_abstract(result.network_output);
+    }
+    return result;
+  }
+
+  /// Relational states go through the zonotope transformer whatever the
+  /// domain, on the Pre# image of the affine set itself.
+  [[nodiscard]] AbstractControlStep step(const AffineSet& state, std::size_t prev) const {
+    const AffineSet pre_image = pre.eval_abstract(state);
+    NoiseSource scratch = pre_image.noise();
+    const ZonotopeBounds bounds =
+        zonotope_propagate(nets[kSelector[prev]], pre_image.components(), scratch);
+    AbstractControlStep result;
+    result.network_input = pre_image.concretize();
+    result.network_output = bounds.output_box;
+    result.commands = post.eval_abstract(bounds);
+    return result;
+  }
+
+  [[nodiscard]] AbstractControlStep step(const AbstractState& state, std::size_t prev) const {
+    return state.has_relational() ? step(*state.relational(), prev) : step(state.box(), prev);
+  }
+};
+
+::testing::AssertionResult steps_eq(const AbstractControlStep& a, const AbstractControlStep& b) {
+  if (a.commands != b.commands) {
+    return ::testing::AssertionFailure() << "command sets differ";
+  }
+  if (const auto eq = boxes_bitwise_eq(a.network_input, b.network_input); !eq) {
+    return ::testing::AssertionFailure() << "network input: " << eq.message();
+  }
+  if (const auto eq = boxes_bitwise_eq(a.network_output, b.network_output); !eq) {
+    return ::testing::AssertionFailure() << "network output: " << eq.message();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void expect_batch_matches_reference(NnDomain domain, NnCacheMode cache_mode) {
+  const NeuralController ctrl = make_controller(domain, cache_mode, 900);
+  const ReferenceController reference(domain, 900);
   Rng rng(901);
   std::vector<Box> states;
   std::vector<std::size_t> commands;
   for (int k = 0; k < 13; ++k) {
-    states.push_back(random_box(rng, 3));
+    states.push_back(random_box(rng, kStateDim));
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
   }
-  // Duplicate state under the same previous command: the scalar loop's memo
-  // hit and the batch's dedup must replay the same result.
+  // Duplicate state under the same previous command: the batch's dedup
+  // must replay the same result the reference computes afresh.
   states.push_back(states[2]);
   commands.push_back(commands[2]);
   const std::vector<AbstractState> abstract_states(states.begin(), states.end());
-  const std::vector<AbstractControlStep> batched =
-      batch_ctrl.step_abstract_batch(abstract_states, commands);
-  ASSERT_EQ(batched.size(), states.size());
+  // The second round is answered from the memo when the cache is on.
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<AbstractControlStep> batched =
+        ctrl.step_abstract_batch(abstract_states, commands);
+    ASSERT_EQ(batched.size(), states.size());
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      EXPECT_TRUE(steps_eq(batched[i], reference.step(states[i], commands[i])))
+          << "round " << round << " state " << i;
+    }
+  }
+  // The scalar entry point (a batch of one) on a cold controller.
+  const NeuralController scalar_ctrl = make_controller(domain, cache_mode, 900);
   for (std::size_t i = 0; i < states.size(); ++i) {
-    const AbstractControlStep scalar = scalar_ctrl.step_abstract(states[i], commands[i]);
-    EXPECT_EQ(batched[i].commands, scalar.commands) << "state " << i;
-    EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_input, scalar.network_input)) << i;
-    EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_output, scalar.network_output)) << i;
+    EXPECT_TRUE(steps_eq(scalar_ctrl.step_abstract(states[i], commands[i]),
+                         reference.step(states[i], commands[i])))
+        << "scalar state " << i;
   }
 }
 
 TEST(ControllerBatch, SymbolicNoCache) {
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kOff);
+  expect_batch_matches_reference(NnDomain::kSymbolic, NnCacheMode::kOff);
 }
 
 TEST(ControllerBatch, SymbolicMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kMemo);
-}
-
-TEST(ControllerBatch, SymbolicContainmentCacheFallsBackToScalarLoop) {
-  // Containment mode routes through the scalar loop inside the batch call;
-  // results must still match a plain scalar loop on a fresh controller.
-  expect_batch_matches_scalar(NnDomain::kSymbolic, NnCacheMode::kContainment);
+  expect_batch_matches_reference(NnDomain::kSymbolic, NnCacheMode::kMemo);
 }
 
 TEST(ControllerBatch, IntervalMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kInterval, NnCacheMode::kMemo);
+  expect_batch_matches_reference(NnDomain::kInterval, NnCacheMode::kMemo);
 }
 
 TEST(ControllerBatch, AffineDomainNoCache) {
-  // Box states in the affine domain batch through the zonotope SoA kernel
-  // (no scalar fallback remains for this domain).
-  expect_batch_matches_scalar(NnDomain::kAffine, NnCacheMode::kOff);
+  expect_batch_matches_reference(NnDomain::kAffine, NnCacheMode::kOff);
 }
 
 TEST(ControllerBatch, AffineDomainMemoCache) {
-  expect_batch_matches_scalar(NnDomain::kAffine, NnCacheMode::kMemo);
+  expect_batch_matches_reference(NnDomain::kAffine, NnCacheMode::kMemo);
 }
 
 TEST(ControllerBatch, RelationalStatesMatchScalarRelationalStep) {
   // Abstract states carrying relational parts must batch bit-identically to
-  // the scalar relational step — for every NN domain, since relational
+  // the scalar relational reference — for every NN domain, since relational
   // queries always route through the zonotope transformer.
   for (const NnDomain domain : {NnDomain::kSymbolic, NnDomain::kAffine, NnDomain::kInterval}) {
-    const NeuralController scalar_ctrl = make_controller(domain, NnCacheMode::kMemo, 920);
-    const NeuralController batch_ctrl = make_controller(domain, NnCacheMode::kMemo, 920);
+    const NeuralController ctrl = make_controller(domain, NnCacheMode::kMemo, 920);
+    const ReferenceController reference(domain, 920);
     Rng rng(921);
     std::vector<AbstractState> states;
-    std::vector<std::shared_ptr<const AffineSet>> sets;
     std::vector<std::size_t> commands;
     for (int k = 0; k < 9; ++k) {
-      const Box box = random_box(rng, 3);
+      const Box box = random_box(rng, kStateDim);
       AffineSet set = AffineSet::from_box(box);
       if (k % 2 == 0) {
         // Half the states carry genuine correlations (non-diagonal image).
-        IntervalMatrix m(3, 3);
-        for (std::size_t r = 0; r < 3; ++r) {
-          for (std::size_t c = 0; c < 3; ++c) {
+        IntervalMatrix m(kStateDim, kStateDim);
+        for (std::size_t r = 0; r < kStateDim; ++r) {
+          for (std::size_t c = 0; c < kStateDim; ++c) {
             m.at(r, c) = Interval{r == c ? 1.0 : rng.uniform(-0.3, 0.3)};
           }
         }
@@ -445,23 +524,23 @@ TEST(ControllerBatch, RelationalStatesMatchScalarRelationalStep) {
       }
       auto shared = std::make_shared<const AffineSet>(std::move(set));
       states.emplace_back(shared->concretize(), shared);
-      sets.push_back(shared);
       commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
     }
-    // Interleave a box-only state: mixed batches must keep both paths apart.
-    states.emplace_back(random_box(rng, 3));
-    sets.push_back(nullptr);
+    // A repeated relational state (never deduplicated) and an interleaved
+    // box-only state: mixed batches must keep both paths apart.
+    states.push_back(states[1]);
+    commands.push_back(commands[1]);
+    states.emplace_back(random_box(rng, kStateDim));
     commands.push_back(static_cast<std::size_t>(rng.uniform_int(0, 3)));
-    const std::vector<AbstractControlStep> batched =
-        batch_ctrl.step_abstract_batch(states, commands);
+    const std::vector<AbstractControlStep> batched = ctrl.step_abstract_batch(states, commands);
     ASSERT_EQ(batched.size(), states.size());
     for (std::size_t i = 0; i < states.size(); ++i) {
-      const AbstractControlStep scalar =
-          sets[i] ? scalar_ctrl.step_abstract_relational(*sets[i], commands[i])
-                  : scalar_ctrl.step_abstract(states[i].box(), commands[i]);
-      EXPECT_EQ(batched[i].commands, scalar.commands) << "state " << i;
-      EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_input, scalar.network_input)) << i;
-      EXPECT_TRUE(boxes_bitwise_eq(batched[i].network_output, scalar.network_output)) << i;
+      EXPECT_TRUE(steps_eq(batched[i], reference.step(states[i], commands[i]))) << "state " << i;
+      if (states[i].has_relational()) {
+        EXPECT_TRUE(steps_eq(ctrl.step_abstract_relational(*states[i].relational(), commands[i]),
+                             reference.step(states[i], commands[i])))
+            << "scalar relational state " << i;
+      }
     }
   }
 }

@@ -198,6 +198,10 @@ struct SoundnessCase {
   int field;                  // 0=decay 1=osc 2=dblint 3=sine
 };
 
+// Print a case by its name: the default byte dump would put the address of
+// `name` into every discovered CTest name, which then changes between runs.
+void PrintTo(const SoundnessCase& c, std::ostream* os) { *os << c.name; }
+
 class FlowpipeSoundness : public ::testing::TestWithParam<SoundnessCase> {};
 
 TEST_P(FlowpipeSoundness, ConcreteTrajectoriesStayInside) {

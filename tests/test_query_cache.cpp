@@ -1,21 +1,21 @@
 // Tests for the NN query cache: exact-match memoization (replay-identical
-// results, LRU bounds, -0.0/0.0 key canonicalization), containment reuse
-// soundness, cache statistics, thread-safety under a concurrent hammer, and
-// the end-to-end guarantee that memo mode leaves canonical verification
-// reports byte-identical to cacheless runs.
+// results, LRU bounds, -0.0/0.0 key canonicalization), cache statistics,
+// mode parsing, thread-safety under a concurrent hammer, and the end-to-end
+// guarantee that memo mode leaves canonical verification reports
+// byte-identical to cacheless runs.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "closed_loop_fixtures.hpp"
 #include "core/engine.hpp"
 #include "core/report_io.hpp"
-#include "interval/affine_set.hpp"
 #include "nn/query_cache.hpp"
 #include "util/rng.hpp"
 
@@ -25,50 +25,49 @@ namespace {
 using testing_fixtures::braking_plant;
 using testing_fixtures::threshold_controller;
 
-NnQueryCache::Result make_result(std::vector<std::size_t> commands, const Box& output,
-                                 std::shared_ptr<const SymbolicBounds> symbolic = nullptr) {
-  return NnQueryCache::Result{std::move(commands), output, std::move(symbolic)};
+NnQueryCache::Result make_result(std::vector<std::size_t> commands, const Box& output) {
+  return NnQueryCache::Result{std::move(commands), output};
 }
 
 TEST(QueryCache, ModeNamesRoundTrip) {
-  for (const NnCacheMode mode :
-       {NnCacheMode::kOff, NnCacheMode::kMemo, NnCacheMode::kContainment}) {
+  for (const NnCacheMode mode : {NnCacheMode::kOff, NnCacheMode::kMemo}) {
     EXPECT_EQ(parse_nn_cache_mode(to_string(mode)), mode);
   }
   EXPECT_FALSE(parse_nn_cache_mode("bogus").has_value());
   EXPECT_FALSE(parse_nn_cache_mode("").has_value());
+  EXPECT_FALSE(parse_nn_cache_mode("containment").has_value());
+}
+
+TEST(QueryCache, EnvModeFallsBackToMemoOnUnknownValues) {
+  const char* saved = std::getenv("NNCS_NN_CACHE");
+  const std::string original = saved != nullptr ? saved : "";
+  const auto mode_for = [](const char* value) {
+    ::setenv("NNCS_NN_CACHE", value, 1);
+    return nn_cache_config_from_env().mode;
+  };
+  EXPECT_EQ(mode_for("off"), NnCacheMode::kOff);
+  EXPECT_EQ(mode_for("memo"), NnCacheMode::kMemo);
+  EXPECT_EQ(mode_for("containment"), NnCacheMode::kMemo);
+  EXPECT_EQ(mode_for("bogus"), NnCacheMode::kMemo);
+  if (saved != nullptr) {
+    ::setenv("NNCS_NN_CACHE", original.c_str(), 1);
+  } else {
+    ::unsetenv("NNCS_NN_CACHE");
+  }
 }
 
 TEST(QueryCache, ExactFindReturnsInsertedResult) {
   NnQueryCache cache;
   const Box input{Interval{0.0, 1.0}, Interval{-1.0, 1.0}};
-  EXPECT_FALSE(cache.find_exact(3, 0, input).has_value());
-  cache.insert(3, 0, input, make_result({1, 2}, Box{Interval{5.0, 6.0}}));
-  const auto hit = cache.find_exact(3, 0, input);
+  EXPECT_FALSE(cache.find_exact(3, input).has_value());
+  cache.insert(3, input, make_result({1, 2}, Box{Interval{5.0, 6.0}}));
+  const auto hit = cache.find_exact(3, input);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->commands, (std::vector<std::size_t>{1, 2}));
   EXPECT_EQ(hit->output_box, (Box{Interval{5.0, 6.0}}));
-  // Different network id, domain tag or box: miss.
-  EXPECT_FALSE(cache.find_exact(4, 0, input).has_value());
-  EXPECT_FALSE(cache.find_exact(3, 1, input).has_value());
-  EXPECT_FALSE(cache.find_exact(3, 0, Box{Interval{0.0, 2.0}, Interval{-1.0, 1.0}}).has_value());
-}
-
-TEST(QueryCache, DomainTagsKeepEntriesApart) {
-  // The same (net, box) query under two abstract domains must never share
-  // an entry: replaying an interval-domain result for a symbolic query (or
-  // vice versa) substitutes one transformer's enclosure for another's.
-  NnQueryCache cache;
-  const Box input{Interval{0.0, 1.0}};
-  cache.insert(0, 0, input, make_result({0}, Box{Interval{1.0, 2.0}}));
-  cache.insert(0, 1, input, make_result({1}, Box{Interval{3.0, 4.0}}));
-  const auto d0 = cache.find_exact(0, 0, input);
-  const auto d1 = cache.find_exact(0, 1, input);
-  ASSERT_TRUE(d0.has_value());
-  ASSERT_TRUE(d1.has_value());
-  EXPECT_EQ(d0->commands, std::vector<std::size_t>{0});
-  EXPECT_EQ(d1->commands, std::vector<std::size_t>{1});
-  EXPECT_EQ(cache.stats().entries, 2u);
+  // Different network id or box: miss.
+  EXPECT_FALSE(cache.find_exact(4, input).has_value());
+  EXPECT_FALSE(cache.find_exact(3, Box{Interval{0.0, 2.0}, Interval{-1.0, 1.0}}).has_value());
 }
 
 TEST(QueryCache, NegativeZeroKeysMatchPositiveZero) {
@@ -78,8 +77,8 @@ TEST(QueryCache, NegativeZeroKeysMatchPositiveZero) {
   const Box pos{Interval{0.0, 1.0}};
   const Box neg{Interval{-0.0, 1.0}};
   ASSERT_TRUE(pos == neg);
-  cache.insert(0, 0, pos, make_result({0}, Box{Interval{1.0}}));
-  EXPECT_TRUE(cache.find_exact(0, 0, neg).has_value());
+  cache.insert(0, pos, make_result({0}, Box{Interval{1.0}}));
+  EXPECT_TRUE(cache.find_exact(0, neg).has_value());
 }
 
 TEST(QueryCache, LruEvictionBoundsEntries) {
@@ -87,7 +86,7 @@ TEST(QueryCache, LruEvictionBoundsEntries) {
   config.max_entries = 8;  // one slot per shard
   NnQueryCache cache(config);
   for (int i = 0; i < 100; ++i) {
-    cache.insert(0, 0, Box{Interval{static_cast<double>(i), i + 1.0}},
+    cache.insert(0, Box{Interval{static_cast<double>(i), i + 1.0}},
                  make_result({0}, Box{Interval{0.0}}));
   }
   const auto stats = cache.stats();
@@ -100,44 +99,15 @@ TEST(QueryCache, LruEvictionBoundsEntries) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
-TEST(QueryCache, FindContainingPrefersTightestCoveringBox) {
-  NnQueryCache cache;
-  const auto bounds_for = [](const Box& box) {
-    auto sb = std::make_shared<SymbolicBounds>();
-    sb->input = box;
-    return sb;
-  };
-  const Box wide{Interval{-10.0, 10.0}};
-  const Box tight{Interval{-1.0, 1.0}};
-  const Box disjoint{Interval{5.0, 6.0}};
-  cache.insert(0, 0, wide, make_result({0}, Box{Interval{0.0}}, bounds_for(wide)));
-  cache.insert(0, 0, tight, make_result({0}, Box{Interval{0.0}}, bounds_for(tight)));
-  cache.insert(0, 0, disjoint, make_result({0}, Box{Interval{0.0}}, bounds_for(disjoint)));
-  // Interval/zonotope entries (no symbolic payload) must never be reused.
-  cache.insert(0, 0, Box{Interval{-20.0, 20.0}}, make_result({0}, Box{Interval{0.0}}));
-
-  const auto found = cache.find_containing(0, 0, Box{Interval{-0.5, 0.5}});
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->input, tight);
-  // Other network id: nothing to reuse.
-  EXPECT_EQ(cache.find_containing(1, 0, Box{Interval{-0.5, 0.5}}), nullptr);
-  // Other domain tag: a covering symbolic entry of domain 0 must not leak.
-  EXPECT_EQ(cache.find_containing(0, 1, Box{Interval{-0.5, 0.5}}), nullptr);
-  // Query not covered by any entry: no reuse.
-  EXPECT_EQ(cache.find_containing(0, 0, Box{Interval{9.0, 11.0}}), nullptr);
-}
-
 TEST(QueryCache, StatsCountHitsMissesAndKinds) {
   NnQueryCache cache;
-  cache.count_hit(false);
-  cache.count_hit(true);
-  cache.count_miss(false);
-  cache.count_miss(true);
+  cache.count_hit();
+  cache.count_hit();
+  cache.count_miss();
+  cache.count_miss();
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.containment_hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.reuse_fallbacks, 1u);
   EXPECT_EQ(stats.lookups(), 4u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
@@ -158,18 +128,14 @@ TEST(QueryCache, ConcurrentHammerIsConsistent) {
         const auto key = static_cast<double>(rng.uniform_int(0, 99));
         const Box box{Interval{key, key + 1.0}};
         const std::size_t net = static_cast<std::size_t>(rng.uniform_int(0, 4));
-        const auto tag = static_cast<NnQueryCache::DomainTag>(rng.uniform_int(0, 2));
         if (rng.chance(0.5)) {
-          // The written payload encodes (net, domain); a hit that crossed
-          // either boundary would fail the assertions below.
-          cache.insert(net, tag, box, NnQueryCache::Result{{net * 4 + tag}, box, nullptr});
-        } else if (const auto hit = cache.find_exact(net, tag, box)) {
+          // The written payload encodes the network; a hit that crossed
+          // networks would fail the assertions below.
+          cache.insert(net, box, NnQueryCache::Result{{net}, box});
+        } else if (const auto hit = cache.find_exact(net, box)) {
           observed_hits.fetch_add(1);
-          ASSERT_EQ(hit->commands, std::vector<std::size_t>{net * 4 + tag});
+          ASSERT_EQ(hit->commands, std::vector<std::size_t>{net});
           ASSERT_EQ(hit->output_box, box);
-        }
-        if (rng.chance(0.01)) {
-          (void)cache.find_containing(net, tag, box);
         }
       }
     });
@@ -248,163 +214,6 @@ TEST(QueryCache, MemoModeStepAbstractReplaysExactResult) {
   EXPECT_TRUE(fresh.network_output == second.network_output);
 }
 
-TEST(QueryCache, ContainmentReuseIsSoundOnSampledPoints) {
-  const auto ctrl = threshold_controller(5.0, -8.0);
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  ctrl->configure_cache(cache);
-  const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  (void)ctrl->step_abstract(parent, 0);  // populate the cache
-  const Box child{Interval{0.5, 1.0}, Interval{0.0, 0.5}};
-  const AbstractControlStep reused = ctrl->step_abstract(child, 0);
-  ASSERT_NE(ctrl->query_cache(), nullptr);
-  const auto stats = ctrl->query_cache()->stats();
-  EXPECT_EQ(stats.containment_hits, 1u) << "child box should reuse the parent's bounds";
-
-  // Soundness: every concretely reachable command is in the abstract set.
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    const Vec point{rng.uniform(child[0].lo(), child[0].hi()),
-                    rng.uniform(child[1].lo(), child[1].hi())};
-    const std::size_t cmd = ctrl->step(point, 0);
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end());
-  }
-}
-
-TEST(QueryCache, ContainmentAffineDomainReuseNeverOverPrunes) {
-  // Affine-domain containment reuse restricts a cached box-valid zonotope
-  // propagation to the child's sub-ranges. The restricted bounds are valid
-  // for the child but generally looser than a fresh propagation of the
-  // child itself, so the reused command set may only be a superset of what
-  // full propagation keeps — never prune a command it would retain.
-  const auto ctrl = threshold_controller(5.0, -8.0, NnDomain::kAffine);
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0, NnDomain::kAffine);
-  fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  (void)ctrl->step_abstract(parent, 0);  // populate with the covering entry
-  const Box child{Interval{0.5, 1.0}, Interval{0.0, 0.5}};
-  const AbstractControlStep reused = ctrl->step_abstract(child, 0);
-  ASSERT_NE(ctrl->query_cache(), nullptr);
-  EXPECT_EQ(ctrl->query_cache()->stats().containment_hits, 1u)
-      << "child box should reuse the parent's affine propagation";
-
-  const AbstractControlStep full = fresh->step_abstract(child, 0);
-  for (const std::size_t cmd : full.commands) {
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end())
-        << "reuse pruned command " << cmd << " that full propagation keeps";
-  }
-  // And concrete soundness on sampled points.
-  Rng rng(101);
-  for (int i = 0; i < 200; ++i) {
-    const Vec point{rng.uniform(child[0].lo(), child[0].hi()),
-                    rng.uniform(child[1].lo(), child[1].hi())};
-    const std::size_t cmd = ctrl->step(point, 0);
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end());
-  }
-}
-
-TEST(QueryCache, ContainmentRelationalReuseNeverOverPrunes) {
-  // The relational (zonotope loop domain) query path never replays exact
-  // matches — a hull cannot identify a zonotope — but may reuse a covering
-  // box-valid propagation in containment mode. Same contract as the box
-  // path: the reused command set must contain every command a full
-  // relational propagation of the same set keeps.
-  const auto ctrl = threshold_controller(5.0, -8.0, NnDomain::kAffine);
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  ctrl->configure_cache(cache);
-  const auto fresh = threshold_controller(5.0, -8.0, NnDomain::kAffine);
-  fresh->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  // Populate: a box-lifted parent set is box-valid, so its propagation is
-  // cached with a reusable affine payload under the relational domain tag.
-  const Box parent{Interval{0.0, 2.0}, Interval{-1.0, 1.0}};
-  (void)ctrl->step_abstract_relational(AffineSet::from_box(parent), 0);
-
-  // Query: a correlated child set whose hull sits inside the parent.
-  AffineSet child = AffineSet::from_box(Box{Interval{0.5, 1.0}, Interval{0.0, 0.4}});
-  IntervalMatrix mix(2, 2);
-  mix.at(0, 0) = Interval{1.0};
-  mix.at(0, 1) = Interval{0.2};
-  mix.at(1, 0) = Interval{-0.1};
-  mix.at(1, 1) = Interval{1.0};
-  child = child.linear_image(mix);
-  ASSERT_TRUE(parent.contains(child.concretize()));
-
-  const AbstractControlStep reused = ctrl->step_abstract_relational(child, 0);
-  const AbstractControlStep full = fresh->step_abstract_relational(child, 0);
-  for (const std::size_t cmd : full.commands) {
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end())
-        << "relational reuse pruned command " << cmd
-        << " that full propagation keeps";
-  }
-  ASSERT_NE(ctrl->query_cache(), nullptr);
-  const auto stats = ctrl->query_cache()->stats();
-  // Either the reuse pruned (containment hit) or it fell back to the full
-  // propagation (reuse fallback); both are sound, silence is a bug.
-  EXPECT_GE(stats.containment_hits + stats.reuse_fallbacks, 1u);
-
-  // Concrete soundness: sample points from the child zonotope itself.
-  Rng rng(102);
-  const Box hull = child.concretize();
-  for (int i = 0; i < 200; ++i) {
-    const Vec point{rng.uniform(hull[0].lo(), hull[0].hi()),
-                    rng.uniform(hull[1].lo(), hull[1].hi())};
-    if (!hull.contains(point)) {
-      continue;
-    }
-    const std::size_t cmd = ctrl->step(point, 0);
-    EXPECT_NE(std::find(reused.commands.begin(), reused.commands.end(), cmd),
-              reused.commands.end());
-  }
-}
-
-TEST(QueryCache, MixedDomainControllersSharingOneCacheStayIsolated) {
-  // Two controllers over the same networks but different abstract domains
-  // share a single cache via adopt_cache. Domain-keyed entries must keep
-  // each controller's replayed results identical to what a cacheless
-  // controller of the same domain computes — a cross-domain hit would
-  // substitute the interval transformer's enclosure for the symbolic one.
-  const auto symbolic = threshold_controller(5.0, -8.0, NnDomain::kSymbolic);
-  const auto interval = threshold_controller(5.0, -8.0, NnDomain::kInterval);
-  auto shared = std::make_shared<NnQueryCache>(NnCacheConfig{NnCacheMode::kMemo});
-  symbolic->adopt_cache(shared);
-  interval->adopt_cache(shared);
-
-  const auto ref_symbolic = threshold_controller(5.0, -8.0, NnDomain::kSymbolic);
-  const auto ref_interval = threshold_controller(5.0, -8.0, NnDomain::kInterval);
-  ref_symbolic->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-  ref_interval->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-
-  Rng rng(7);
-  for (int i = 0; i < 50; ++i) {
-    const double lo = rng.uniform(0.0, 8.0);
-    const Box state{Interval{lo, lo + rng.uniform(0.1, 2.0)},
-                    Interval{-1.0, rng.uniform(0.0, 1.0)}};
-    // Interleave so each box is queried under both domains, cold and warm.
-    for (int round = 0; round < 2; ++round) {
-      const AbstractControlStep s = symbolic->step_abstract(state, 0);
-      const AbstractControlStep v = interval->step_abstract(state, 0);
-      const AbstractControlStep rs = ref_symbolic->step_abstract(state, 0);
-      const AbstractControlStep rv = ref_interval->step_abstract(state, 0);
-      ASSERT_EQ(s.commands, rs.commands);
-      ASSERT_TRUE(s.network_output == rs.network_output);
-      ASSERT_EQ(v.commands, rv.commands);
-      ASSERT_TRUE(v.network_output == rv.network_output);
-    }
-  }
-  const auto stats = shared->stats();
-  EXPECT_GT(stats.hits, 0u) << "warm rounds should replay from the shared cache";
-}
-
 TEST(QueryCache, OffModeDisablesCacheEntirely) {
   const auto ctrl = threshold_controller(5.0, -8.0);
   ctrl->configure_cache(NnCacheConfig{NnCacheMode::kOff});
@@ -418,32 +227,6 @@ TEST(QueryCache, MemoEngineRunIsByteIdenticalToOff) {
   const std::string off = s.canonical_run(NnCacheMode::kOff);
   const std::string memo = s.canonical_run(NnCacheMode::kMemo);
   EXPECT_EQ(off, memo);
-}
-
-TEST(QueryCache, ContainmentEngineRunKeepsLeafVerdictsSound) {
-  // Containment reuse may widen enclosures (fewer proved leaves is
-  // acceptable), but a cell proved safe under containment must also be
-  // proved safe by the exact cacheless analysis on this exact fixture.
-  CacheLoopSetup s;
-  NnCacheConfig cache;
-  cache.mode = NnCacheMode::kContainment;
-  s.ctrl->configure_cache(cache);
-  const VerificationEngine engine(s.system, s.error, s.target);
-  const VerifyReport with_cache = engine.run(s.cells(), s.config()).report;
-
-  s.ctrl->configure_cache(NnCacheConfig{NnCacheMode::kOff});
-  const VerifyReport without = engine.run(s.cells(), s.config()).report;
-
-  std::size_t proved_with = 0;
-  for (const CellOutcome& leaf : with_cache.leaves) {
-    proved_with += leaf.outcome == ReachOutcome::kProvedSafe ? 1 : 0;
-  }
-  std::size_t proved_without = 0;
-  for (const CellOutcome& leaf : without.leaves) {
-    proved_without += leaf.outcome == ReachOutcome::kProvedSafe ? 1 : 0;
-  }
-  EXPECT_LE(proved_with, proved_without);
-  EXPECT_GT(proved_with, 0u);
 }
 
 }  // namespace

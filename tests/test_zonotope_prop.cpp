@@ -11,6 +11,7 @@
 #include "nn/interval_prop.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zonotope_prop.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -186,6 +187,62 @@ TEST(ZonotopeController, ConcreteCommandAlwaysInAbstractSet) {
       }
     }
   }
+}
+
+std::uint64_t relaxed_relus() {
+  return obs::Registry::instance().snapshot().counter("nn.relaxed_relus");
+}
+
+TEST(ZonotopeProp, RelaxedReluCounterAgreesBetweenScalarAndBatch) {
+  obs::set_enabled(true);
+  // relu(x) on x in [-1, 1] is unstable: exactly one relaxation.
+  Network known = make_zero_network({1, 1, 1});
+  known.layer(0).weights(0, 0) = 1.0;
+  known.layer(1).weights(0, 0) = 1.0;
+  std::uint64_t before = relaxed_relus();
+  (void)zonotope_propagate(known, Box{Interval{-1.0, 1.0}});
+  EXPECT_EQ(relaxed_relus() - before, 1u);
+
+  const Network net = random_network(31, {3, 8, 8, 2});
+  Rng rng(32);
+  std::vector<Box> boxes;
+  std::vector<AffineSet> sets;
+  for (int k = 0; k < 7; ++k) {
+    std::vector<Interval> dims;
+    for (std::size_t d = 0; d < 3; ++d) {
+      const double c = rng.uniform(-1.0, 1.0);
+      dims.emplace_back(c - 0.5, c + 0.5);
+    }
+    boxes.emplace_back(std::move(dims));
+    sets.push_back(AffineSet::from_box(boxes.back()));
+  }
+  before = relaxed_relus();
+  for (const Box& box : boxes) {
+    (void)zonotope_propagate(net, box);
+  }
+  const std::uint64_t scalar_boxes = relaxed_relus() - before;
+  before = relaxed_relus();
+  (void)zonotope_propagate_batch(net, boxes);
+  const std::uint64_t batched_boxes = relaxed_relus() - before;
+  before = relaxed_relus();
+  for (const AffineSet& set : sets) {
+    NoiseSource scratch = set.noise();
+    (void)zonotope_propagate(net, set.components(), scratch);
+  }
+  const std::uint64_t scalar_sets = relaxed_relus() - before;
+  std::vector<const AffineSet*> ptrs;
+  for (const AffineSet& set : sets) {
+    ptrs.push_back(&set);
+  }
+  before = relaxed_relus();
+  (void)zonotope_propagate_batch(net, ptrs);
+  const std::uint64_t batched_sets = relaxed_relus() - before;
+  obs::set_enabled(false);
+
+  EXPECT_GT(scalar_boxes, 0u);
+  EXPECT_EQ(batched_boxes, scalar_boxes);
+  EXPECT_EQ(scalar_sets, scalar_boxes);
+  EXPECT_EQ(batched_sets, scalar_sets);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 ///     --m N            validated integration steps M
 ///     --order N        Taylor order of the integrator
 ///     --domain D       nn domain: interval | symbolic | affine (default symbolic)
-///     --nn-cache M     NN query cache: off | memo | containment
+///     --nn-cache M     NN query cache: off | memo
 ///                      (default from NNCS_NN_CACHE, else memo)
 ///     --strategy S     refinement: all | widest
 ///     --threads N      worker threads                        (default: hw)

@@ -6,11 +6,8 @@
 #      queries, so the canonical report must stay byte-identical; the stats
 #      line must show nonzero lookups (8x4 is the smallest partition whose
 #      cells survive the t=0 error check long enough to query the NN)
-#   3. --nn-cache containment on the larger 8x4 --depth 1 partition:
-#      refinement children are subsets of their parents' boxes, so
-#      containment reuse must actually fire (reuse only counts as a hit when
-#      the re-concretized bounds prune a command) — the stats line on stdout
-#      must report a nonzero hit count
+#   3. --nn-cache containment is refused with the usage exit code 2, like
+#      any value other than off|memo, and writes no report
 #
 # Required -D variables: CLI (binary), NETS (network cache dir), OUT (scratch
 # directory for the generated files).
@@ -20,6 +17,7 @@ if(NOT DEFINED CLI OR NOT DEFINED NETS OR NOT DEFINED OUT)
 endif()
 
 file(MAKE_DIRECTORY ${OUT})
+file(REMOVE ${OUT}/refused.csv)
 set(COMMON --steps 10 --m 4 --order 3 --threads 4
     --nets ${NETS} --quiet --canonical-report)
 
@@ -59,13 +57,9 @@ if(NOT same EQUAL 0)
 endif()
 message(STATUS "off vs memo: canonical reports byte-identical")
 
-run_cli(0 "nn-cache containment run" cont_stdout ${COMMON} --arcs 8 --headings 4
-  --depth 1 --nn-cache containment --report ${OUT}/containment.csv)
-if(NOT cont_stdout MATCHES "nn-cache \\(containment\\): ([0-9]+) hits")
-  message(FATAL_ERROR "containment run printed no cache stats line:\n${cont_stdout}")
+run_cli(2 "nn-cache containment refused" refused_stdout ${COMMON} --arcs 8 --headings 4
+  --depth 0 --nn-cache containment --report ${OUT}/refused.csv)
+if(EXISTS ${OUT}/refused.csv)
+  message(FATAL_ERROR "refused --nn-cache value still wrote a report")
 endif()
-if(CMAKE_MATCH_1 EQUAL 0)
-  message(FATAL_ERROR "containment run recorded zero cache hits on a depth-1 "
-                      "refinement run:\n${cont_stdout}")
-endif()
-message(STATUS "containment reuse fired: ${CMAKE_MATCH_1} hits")
+message(STATUS "--nn-cache containment refused with the usage exit code")

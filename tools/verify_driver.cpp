@@ -45,7 +45,7 @@ void handle_sigint(int) {
                "usage: %s%s [--arcs N] [--headings N] [--depth N] [--gamma N] [--steps N]\n"
                "          [--m N] [--order N]\n"
                "          [--domain interval|symbolic|affine|box|zonotope]\n"
-               "          [--nn-cache off|memo|containment] [--nn-batch N]\n"
+               "          [--nn-cache off|memo] [--nn-batch N]\n"
                "          [--strategy all|widest] [--threads N] [--nets DIR]\n"
                "          [--report FILE] [--canonical-report] [--time-budget SEC]\n"
                "          [--stop-on-violation] [--checkpoint FILE] [--resume FILE]\n"
@@ -527,12 +527,10 @@ int verify_driver_main(int argc, char** argv, const DriverOptions& options) {
   }
   if (const NnQueryCache* cache = system.controller->query_cache()) {
     const NnQueryCache::Stats cs = cache->stats();
-    std::printf("nn-cache (%s): %llu hits / %llu lookups (%.1f%%, %llu containment, "
-                "%llu fallbacks, %llu evictions, %zu entries)\n",
+    std::printf("nn-cache (%s): %llu hits / %llu lookups (%.1f%%, %llu evictions, "
+                "%zu entries)\n",
                 to_string(cache->mode()), static_cast<unsigned long long>(cs.hits),
                 static_cast<unsigned long long>(cs.lookups()), 100.0 * cs.hit_rate(),
-                static_cast<unsigned long long>(cs.containment_hits),
-                static_cast<unsigned long long>(cs.reuse_fallbacks),
                 static_cast<unsigned long long>(cs.evictions), cs.entries);
   }
   {
