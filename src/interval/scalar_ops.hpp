@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <utility>
 
 #include "interval/interval.hpp"
 
@@ -22,5 +23,10 @@ inline double abs(double x) { return std::fabs(x); }
 inline double sqr(double x) { return x * x; }
 inline double atan(double x) { return std::atan(x); }
 inline double atan2(double y, double x) { return std::atan2(y, x); }
+
+/// Joint (sin x, cos x), matching `sincos(const TaylorSeries&)`, whose one
+/// recurrence yields both series: fields that need both call it once.
+inline std::pair<double, double> sincos(double x) { return {std::sin(x), std::cos(x)}; }
+inline std::pair<Interval, Interval> sincos(const Interval& x) { return {sin(x), cos(x)}; }
 
 }  // namespace nncs

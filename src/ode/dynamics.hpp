@@ -42,7 +42,9 @@ struct LinearPart {
 /// The same vector field must be evaluable over three scalar types:
 ///   * `double`       — concrete simulation and falsification,
 ///   * `Interval`     — Picard a-priori enclosures,
-///   * `TaylorSeries` — solution Taylor coefficients for the validated step.
+///   * `TaylorSeries` — solution Taylor coefficients for the validated step
+///     (evaluated at each order 0..K−1 in turn; every output series must
+///     have the inputs' order).
 ///
 /// Time-dependent systems can be modelled by adding t as an extra state
 /// variable with derivative 1.

@@ -13,6 +13,29 @@ void check_same_order(const TaylorSeries& a, const TaylorSeries& b) {
   }
 }
 
+// Interval operations under the exact-zero rule (see the class comment):
+// a [0, 0] operand leaves a sum unchanged and annihilates a product.
+
+Interval add(const Interval& a, const Interval& b) {
+  if (is_exact_zero(b)) {
+    return a;
+  }
+  return is_exact_zero(a) ? b : a + b;
+}
+
+Interval sub(const Interval& a, const Interval& b) {
+  if (is_exact_zero(b)) {
+    return a;
+  }
+  return is_exact_zero(a) ? -b : a - b;
+}
+
+Interval mul(const Interval& a, const Interval& b) {
+  return is_exact_zero(a) || is_exact_zero(b) ? Interval{} : a * b;
+}
+
+Interval div(const Interval& a, const Interval& b) { return is_exact_zero(a) ? Interval{} : a / b; }
+
 }  // namespace
 
 TaylorSeries::TaylorSeries(std::size_t order) : coeffs_(order + 1, Interval{}) {}
@@ -31,7 +54,7 @@ Interval TaylorSeries::eval_prefix(const Interval& t, std::size_t k_max) const {
   const std::size_t last = std::min(k_max, order());
   Interval acc = coeffs_[last];
   for (std::size_t k = last; k-- > 0;) {
-    acc = coeffs_[k] + t * acc;
+    acc = add(coeffs_[k], mul(t, acc));
   }
   return acc;
 }
@@ -39,7 +62,7 @@ Interval TaylorSeries::eval_prefix(const Interval& t, std::size_t k_max) const {
 TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
   for (std::size_t k = 0; k < coeffs_.size(); ++k) {
-    coeffs_[k] += rhs.coeffs_[k];
+    coeffs_[k] = add(coeffs_[k], rhs.coeffs_[k]);
   }
   return *this;
 }
@@ -47,7 +70,7 @@ TaylorSeries& TaylorSeries::operator+=(const TaylorSeries& rhs) {
 TaylorSeries& TaylorSeries::operator-=(const TaylorSeries& rhs) {
   check_same_order(*this, rhs);
   for (std::size_t k = 0; k < coeffs_.size(); ++k) {
-    coeffs_[k] -= rhs.coeffs_[k];
+    coeffs_[k] = sub(coeffs_[k], rhs.coeffs_[k]);
   }
   return *this;
 }
@@ -78,7 +101,7 @@ TaylorSeries operator*(const TaylorSeries& a, const TaylorSeries& b) {
   for (std::size_t k = 0; k <= a.order(); ++k) {
     Interval acc{};
     for (std::size_t i = 0; i <= k; ++i) {
-      acc += a[i] * b[k - i];
+      acc = add(acc, mul(a[i], b[k - i]));
     }
     r[k] = acc;
   }
@@ -88,7 +111,7 @@ TaylorSeries operator*(const TaylorSeries& a, const TaylorSeries& b) {
 TaylorSeries operator*(const Interval& k, const TaylorSeries& a) {
   TaylorSeries r(a.order());
   for (std::size_t i = 0; i <= a.order(); ++i) {
-    r[i] = k * a[i];
+    r[i] = mul(k, a[i]);
   }
   return r;
 }
@@ -97,7 +120,7 @@ TaylorSeries operator*(const TaylorSeries& a, const Interval& k) { return k * a;
 
 TaylorSeries operator+(const TaylorSeries& a, const Interval& k) {
   TaylorSeries r = a;
-  r[0] += k;
+  r[0] = add(r[0], k);
   return r;
 }
 
@@ -105,7 +128,7 @@ TaylorSeries operator+(const Interval& k, const TaylorSeries& a) { return a + k;
 
 TaylorSeries operator-(const TaylorSeries& a, const Interval& k) {
   TaylorSeries r = a;
-  r[0] -= k;
+  r[0] = sub(r[0], k);
   return r;
 }
 
@@ -122,14 +145,14 @@ std::pair<TaylorSeries, TaylorSeries> sincos(const TaylorSeries& u) {
     Interval c_acc{};
     for (std::size_t j = 1; j <= k; ++j) {
       const Interval ju = Interval{static_cast<double>(j)} * u[j];
-      s_acc += ju * c[k - j];
-      c_acc += ju * s[k - j];
+      s_acc = add(s_acc, mul(ju, c[k - j]));
+      c_acc = add(c_acc, mul(ju, s[k - j]));
     }
     // 1/k is not exactly representable for all k; divide in interval
     // arithmetic to stay sound.
     const Interval k_iv{static_cast<double>(k)};
-    s[k] = s_acc / k_iv;
-    c[k] = -(c_acc / k_iv);
+    s[k] = div(s_acc, k_iv);
+    c[k] = -div(c_acc, k_iv);
   }
   return {std::move(s), std::move(c)};
 }

@@ -19,6 +19,13 @@ namespace nncs {
 /// All arithmetic is truncated at `order()` and every coefficient operation
 /// uses outward-rounded interval arithmetic, so a `TaylorSeries` soundly
 /// encloses the true series prefix whenever its inputs do.
+///
+/// Exact-zero rule: a term with a degenerate [0, 0] operand is skipped
+/// (sums, Cauchy products, `sincos`, Horner evaluation). Outward rounding
+/// widens every sum by one ulp, 0 + 0 included, so without the rule each
+/// exactly-zero coefficient would become [-4.9e-324, 4.9e-324] and every
+/// later product would run on subnormals. Skipping such a term is an exact
+/// identity, so results are sound and never wider than with the term.
 class TaylorSeries {
  public:
   TaylorSeries() = default;
@@ -30,6 +37,9 @@ class TaylorSeries {
   TaylorSeries(std::size_t order, const Interval& value);
 
   [[nodiscard]] std::size_t order() const { return coeffs_.empty() ? 0 : coeffs_.size() - 1; }
+
+  /// Truncate to `order`, or extend to it with zero coefficients.
+  void resize(std::size_t order) { coeffs_.resize(order + 1); }
 
   Interval& operator[](std::size_t k) { return coeffs_[k]; }
   const Interval& operator[](std::size_t k) const { return coeffs_[k]; }
@@ -50,6 +60,9 @@ class TaylorSeries {
  private:
   std::vector<Interval> coeffs_;
 };
+
+/// True for the degenerate interval [0, 0] (the exact-zero rule's test).
+inline bool is_exact_zero(const Interval& x) { return x.lo() == 0.0 && x.hi() == 0.0; }
 
 TaylorSeries operator+(const TaylorSeries& a, const TaylorSeries& b);
 TaylorSeries operator-(const TaylorSeries& a, const TaylorSeries& b);

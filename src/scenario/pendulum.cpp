@@ -12,10 +12,6 @@ namespace nncs::scenario {
 namespace {
 
 constexpr double kPeriod = 0.1;
-/// Gravity over pendulum length g/l (hanging equilibrium, so the restoring
-/// torque is −(g/l)·sin θ and the open loop is a damped oscillator).
-constexpr double kGl = 5.0;
-constexpr double kDamping = 1.0;
 /// Initial partition range per axis: θ, ω ∈ [-kInit, kInit].
 constexpr double kInit = 0.3;
 /// E: the pendulum has swung past |θ| >= kThetaFail.
@@ -41,20 +37,6 @@ const Vec& torques() {
   return kTorques;
 }
 
-struct PendulumField {
-  template <class S>
-  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
-    out[0] = s[1] + 0.0 * s[0];  // θ' = ω
-    // ω' = −(g/l)·sin θ − c·ω + u
-    out[1] = Interval{-kGl} * sin(s[0]) - Interval{kDamping} * s[1] + u[0];
-  }
-  void operator()(std::span<const double> s, std::span<const double> u,
-                  std::span<double> out) const {
-    out[0] = s[1];
-    out[1] = -kGl * std::sin(s[0]) - kDamping * s[1] + u[0];
-  }
-};
-
 /// Linearization at the hanging equilibrium: f = A·s + B·u + g with
 ///   g(s) = (0, −(g/l)(sin θ − θ)),
 /// the cubic-small residual the affine integrator treats as pure error while
@@ -65,13 +47,13 @@ struct PendulumField {
 /// [lo, hi] lies between its endpoint values, and the hull of the two
 /// outward-rounded endpoint evaluations is a sound O(|θ|³) enclosure.
 LinearPart pendulum_linear_part() {
-  LinearPart lp{{0.0, 1.0, -kGl, -kDamping}, {0.0, 1.0}};
+  LinearPart lp{{0.0, 1.0, -PendulumField::kGl, -PendulumField::kDamping}, {0.0, 1.0}};
   lp.residual = [](std::span<const Interval> s, std::span<Interval> out) {
     const Interval lo{s[0].lo()};
     const Interval hi{s[0].hi()};
     const Interval h_range = hull(sin(lo) - lo, sin(hi) - hi);
     out[0] = Interval{};
-    out[1] = Interval{-kGl} * h_range;
+    out[1] = Interval{-PendulumField::kGl} * h_range;
   };
   return lp;
 }

@@ -12,7 +12,6 @@ namespace nncs::scenario {
 namespace {
 
 constexpr double kPeriod = 0.25;
-constexpr double kSpeed = 1.0;
 constexpr double kOffsetMin = -1.0;
 constexpr double kOffsetMax = 1.0;
 constexpr double kHeadingMin = -0.7;
@@ -29,21 +28,6 @@ const Vec& turn_rates() {
   static const Vec kTurnRates{-1.0, -0.5, 0.0, 0.5, 1.0};
   return kTurnRates;
 }
-
-struct UnicycleField {
-  template <class S>
-  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
-    out[0] = Interval{kSpeed} * cos(s[2]) + 0.0 * s[0];  // x' = v·cos ψ
-    out[1] = Interval{kSpeed} * sin(s[2]) + 0.0 * s[1];  // y' = v·sin ψ
-    out[2] = u[0] + 0.0 * s[2];                          // ψ' = u
-  }
-  void operator()(std::span<const double> s, std::span<const double> u,
-                  std::span<double> out) const {
-    out[0] = kSpeed * std::cos(s[2]);
-    out[1] = kSpeed * std::sin(s[2]);
-    out[2] = u[0];
-  }
-};
 
 /// Steering policy the network imitates: head toward the centerline with a
 /// bounded approach angle, then track that desired heading.

@@ -33,4 +33,24 @@ namespace nncs::scenario {
 /// the bin axis is the initial cross-track offset.
 std::unique_ptr<Scenario> make_unicycle_scenario();
 
+/// The unicycle plant of `make_unicycle_scenario`, s = (x, y, ψ), u = turn
+/// rate.
+struct UnicycleField {
+  static constexpr double kSpeed = 1.0;
+
+  template <class S>
+  void operator()(std::span<const S> s, std::span<const S> u, std::span<S> out) const {
+    const auto [sp, cp] = sincos(s[2]);
+    out[0] = Interval{kSpeed} * cp + 0.0 * s[0];  // x' = v·cos ψ
+    out[1] = Interval{kSpeed} * sp + 0.0 * s[1];  // y' = v·sin ψ
+    out[2] = u[0] + 0.0 * s[2];                   // ψ' = u
+  }
+  void operator()(std::span<const double> s, std::span<const double> u,
+                  std::span<double> out) const {
+    out[0] = kSpeed * std::cos(s[2]);
+    out[1] = kSpeed * std::sin(s[2]);
+    out[2] = u[0];
+  }
+};
+
 }  // namespace nncs::scenario

@@ -7,10 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "acasxu/dynamics.hpp"
+#include "acasxu/policy.hpp"
 #include "ode/concrete_integrator.hpp"
 #include "ode/dynamics.hpp"
 #include "ode/validated_integrator.hpp"
+#include "scenario/pendulum.hpp"
+#include "scenario/unicycle.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -399,6 +406,236 @@ INSTANTIATE_TEST_SUITE_P(
         SoundnessCase{"sine", 1, 1.0, 10, 0.3, 0.0, 0.5, 0, 0, 3},
         SoundnessCase{"sine_negative", 1, 0.5, 5, -0.5, -1.0, -0.5, 0, 0, 3}),
     [](const auto& param_info) { return param_info.param.name; });
+
+
+// ---------------------------------------------------------------------------
+// The Taylor step against a reference computed the way the step was first
+// written: K full-order evaluations of f per coefficient set, over series
+// whose every coefficient sum and product is outward rounded, [0, 0]
+// operands included. The production step skips exact-zero terms and
+// truncates each evaluation to the active order; both only drop one-ulp
+// widenings, so its flow and end boxes must lie inside the reference's,
+// dimension by dimension. Declared last: the `sin`/`sincos` overloads below
+// would hide the double ones from fields defined after them.
+// ---------------------------------------------------------------------------
+
+struct RefSeries {
+  std::vector<Interval> c;
+};
+
+RefSeries operator+(RefSeries a, const RefSeries& b) {
+  for (std::size_t k = 0; k < a.c.size(); ++k) {
+    a.c[k] += b.c[k];
+  }
+  return a;
+}
+
+RefSeries operator-(RefSeries a, const RefSeries& b) {
+  for (std::size_t k = 0; k < a.c.size(); ++k) {
+    a.c[k] -= b.c[k];
+  }
+  return a;
+}
+
+RefSeries operator-(RefSeries a) {
+  for (Interval& x : a.c) {
+    x = -x;
+  }
+  return a;
+}
+
+RefSeries operator*(const Interval& k, RefSeries a) {
+  for (Interval& x : a.c) {
+    x = k * x;
+  }
+  return a;
+}
+
+RefSeries operator*(const RefSeries& a, const RefSeries& b) {
+  RefSeries r{std::vector<Interval>(a.c.size())};
+  for (std::size_t k = 0; k < a.c.size(); ++k) {
+    for (std::size_t i = 0; i <= k; ++i) {
+      r.c[k] += a.c[i] * b.c[k - i];
+    }
+  }
+  return r;
+}
+
+std::pair<RefSeries, RefSeries> sincos(const RefSeries& u) {
+  const std::size_t n = u.c.size();
+  RefSeries s{std::vector<Interval>(n)};
+  RefSeries c{std::vector<Interval>(n)};
+  s.c[0] = sin(u.c[0]);
+  c.c[0] = cos(u.c[0]);
+  for (std::size_t k = 1; k < n; ++k) {
+    Interval s_acc;
+    Interval c_acc;
+    for (std::size_t j = 1; j <= k; ++j) {
+      const Interval ju = Interval{static_cast<double>(j)} * u.c[j];
+      s_acc += ju * c.c[k - j];
+      c_acc += ju * s.c[k - j];
+    }
+    const Interval k_iv{static_cast<double>(k)};
+    s.c[k] = s_acc / k_iv;
+    c.c[k] = -(c_acc / k_iv);
+  }
+  return {std::move(s), std::move(c)};
+}
+
+RefSeries sin(const RefSeries& u) { return sincos(u).first; }
+
+/// Solution coefficients 0..K seeded at `seed`, each of the K evaluations of
+/// f at full order K.
+template <class Field>
+std::vector<RefSeries> reference_coefficients(const Field& field, const Box& seed, const Vec& u,
+                                              std::size_t order) {
+  const auto constant = [order](const Interval& v) {
+    RefSeries r{std::vector<Interval>(order + 1)};
+    r.c[0] = v;
+    return r;
+  };
+  std::vector<RefSeries> s;
+  for (std::size_t i = 0; i < seed.dim(); ++i) {
+    s.push_back(constant(seed[i]));
+  }
+  std::vector<RefSeries> us;
+  for (const double uc : u) {
+    us.push_back(constant(Interval{uc}));
+  }
+  std::vector<RefSeries> fs(seed.dim());
+  for (std::size_t k = 0; k < order; ++k) {
+    field(std::span<const RefSeries>(s), std::span<const RefSeries>(us), std::span<RefSeries>(fs));
+    for (std::size_t i = 0; i < seed.dim(); ++i) {
+      s[i].c[k + 1] = fs[i].c[k] / Interval{static_cast<double>(k + 1)};
+    }
+  }
+  return s;
+}
+
+/// The reference step: the same Picard enclosure (interval evaluation only),
+/// then the prefix/remainder Taylor form over the coefficients above.
+template <class Field>
+std::optional<ValidatedStep> reference_step(const Field& field, const Dynamics& f, const Box& s0,
+                                            const Vec& u, double h, int order) {
+  const auto b = picard_enclosure(f, s0, u, h, PicardConfig{});
+  if (!b) {
+    return std::nullopt;
+  }
+  const auto k = static_cast<std::size_t>(order);
+  const auto prefix = reference_coefficients(field, s0, u, k);
+  const auto remainder = reference_coefficients(field, *b, u, k);
+  const auto horner = [k](const RefSeries& p, const Interval& t) {
+    Interval acc = p.c[k - 1];
+    for (std::size_t j = k - 1; j-- > 0;) {
+      acc = p.c[j] + t * acc;
+    }
+    return acc;
+  };
+  const Interval t_end{h};
+  const Interval t_flow{0.0, h};
+  std::vector<Interval> flow;
+  std::vector<Interval> end;
+  for (std::size_t i = 0; i < s0.dim(); ++i) {
+    const Interval rem = remainder[i].c[k];
+    Interval end_i = horner(prefix[i], t_end) + rem * pow(t_end, order);
+    Interval flow_i = horner(prefix[i], t_flow) + rem * pow(t_flow, order);
+    if (auto tight = intersect(flow_i, (*b)[i])) {
+      flow_i = *tight;
+    }
+    if (auto tight = intersect(end_i, flow_i)) {
+      end_i = *tight;
+    }
+    flow.push_back(flow_i);
+    end.push_back(end_i);
+  }
+  return ValidatedStep{Box{std::move(flow)}, Box{std::move(end)}};
+}
+
+/// Range of one cell dimension: its center is drawn from [lo, hi], its width
+/// from [min_width, max_width]; a zero `min_width` makes half the cells
+/// degenerate in that dimension.
+struct CellAxis {
+  double lo, hi, min_width, max_width;
+};
+
+template <class Field>
+void expect_inside_reference(const Field& field, const std::vector<CellAxis>& axes,
+                             const Vec& commands, double h, int cells, unsigned seed) {
+  const auto f = make_dynamics(axes.size(), 1, field);
+  Rng rng(seed);
+  int tighter = 0;
+  for (const int order : {1, 2, 4}) {
+    const TaylorIntegrator integrator(TaylorIntegrator::Config{order, {}});
+    for (int cell = 0; cell < cells; ++cell) {
+      std::vector<Interval> dims;
+      for (const CellAxis& a : axes) {
+        const double mid = rng.uniform(a.lo, a.hi);
+        const bool degenerate = a.min_width == 0.0 && rng.uniform(0.0, 1.0) < 0.5;
+        const double w = degenerate ? 0.0 : rng.uniform(a.min_width, a.max_width);
+        dims.emplace_back(mid - w / 2.0, mid + w / 2.0);
+      }
+      const Box s0{std::move(dims)};
+      for (const double command : commands) {
+        const Vec u{command};
+        const auto step = integrator.step(*f, s0, u, h);
+        const auto ref = reference_step(field, *f, s0, u, h, order);
+        ASSERT_EQ(step.has_value(), ref.has_value()) << s0;
+        if (!step) {
+          continue;
+        }
+        for (std::size_t d = 0; d < s0.dim(); ++d) {
+          tighter += ref->end[d] != step->end[d] ? 1 : 0;
+          ASSERT_TRUE(ref->flow[d].contains(step->flow[d]))
+              << "order " << order << " dim " << d << " cell " << s0 << " u " << command;
+          ASSERT_TRUE(ref->end[d].contains(step->end[d]))
+              << "order " << order << " dim " << d << " cell " << s0 << " u " << command;
+        }
+        // Concrete trajectories from sampled starts stay inside the boxes.
+        constexpr int kSubsteps = 8;
+        for (int sample = 0; sample < 4; ++sample) {
+          Vec s(s0.dim());
+          for (std::size_t d = 0; d < s0.dim(); ++d) {
+            s[d] = rng.uniform(s0[d].lo(), s0[d].hi());
+          }
+          for (int sub = 0; sub < kSubsteps; ++sub) {
+            ASSERT_TRUE(step->flow.contains(s)) << "order " << order << " cell " << s0;
+            s = rk4_step(*f, s, u, h / kSubsteps);
+          }
+          ASSERT_TRUE(step->end.contains(s)) << "order " << order << " cell " << s0;
+        }
+      }
+    }
+  }
+  // The reference is a different computation: some ends come out strictly
+  // wider there, so the containment checks above are not vacuous.
+  EXPECT_GT(tighter, 0);
+}
+
+TEST(TaylorReference, AcasStepsStayInsideReference) {
+  Vec commands;
+  for (std::size_t a = 0; a < acasxu::kNumAdvisories; ++a) {
+    commands.push_back(acasxu::turn_rate(a));
+  }
+  // (x, y, ψ, v_own, v_int) around the paper's encounter geometry.
+  const std::vector<CellAxis> axes{{-8000.0, 8000.0, 1.0, 200.0},
+                                   {-8000.0, 8000.0, 1.0, 200.0},
+                                   {-3.1, 3.1, 1e-4, 0.05},
+                                   {100.0, 1200.0, 0.0, 20.0},
+                                   {0.0, 1200.0, 0.0, 20.0}};
+  expect_inside_reference(acasxu::KinematicsField{}, axes, commands, 0.1, 60, 71);
+}
+
+TEST(TaylorReference, PendulumStepsStayInsideReference) {
+  const std::vector<CellAxis> axes{{-0.8, 0.8, 1e-4, 0.1}, {-1.5, 1.5, 1e-4, 0.2}};
+  expect_inside_reference(scenario::PendulumField{}, axes, Vec{-2.0, 0.0, 2.0}, 0.05, 100, 72);
+}
+
+TEST(TaylorReference, UnicycleStepsStayInsideReference) {
+  const std::vector<CellAxis> axes{{0.0, 4.0, 1e-3, 0.2}, {-3.0, 3.0, 1e-3, 0.2},
+                                   {-1.6, 1.6, 1e-4, 0.1}};
+  expect_inside_reference(scenario::UnicycleField{}, axes, Vec{-1.0, -0.5, 0.0, 0.5, 1.0}, 0.125,
+                          100, 73);
+}
 
 }  // namespace
 }  // namespace nncs

@@ -38,6 +38,10 @@ struct LinearCase {
   double u;
 };
 
+// Print a case by its name: the default byte dump would put the address of
+// `name` into every discovered CTest name, which then changes between runs.
+void PrintTo(const LinearCase& c, std::ostream* os) { *os << c.name; }
+
 class LinearFlowContainment : public ::testing::TestWithParam<LinearCase> {};
 
 /// Reference flow via very fine RK4 (error ~ 1e-12, far below enclosure

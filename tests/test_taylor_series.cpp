@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "acasxu/dynamics.hpp"
 #include "ode/taylor_series.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +159,89 @@ TEST(TaylorSeriesProperty, SinCosCompositionContainment) {
     EXPECT_TRUE(c[0].contains(std::cos(u0)));
     EXPECT_TRUE(c[1].contains(-u1 * std::sin(u0)));
     EXPECT_TRUE(c[2].contains(-u1 * u1 * std::cos(u0) / 2.0));
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Subnormal guards: outward rounding widens 0 + 0 to [-4.9e-324, 4.9e-324],
+// and every later operation on such bounds runs on subnormals. The exact-zero
+// rule keeps zero coefficients exactly [0, 0] and no bound subnormal.
+// ---------------------------------------------------------------------------
+
+void expect_normal_bounds(const TaylorSeries& t) {
+  for (std::size_t k = 0; k <= t.order(); ++k) {
+    EXPECT_NE(std::fpclassify(t[k].lo()), FP_SUBNORMAL) << "coefficient " << k;
+    EXPECT_NE(std::fpclassify(t[k].hi()), FP_SUBNORMAL) << "coefficient " << k;
+  }
+}
+
+void expect_exact_zeros_from(const TaylorSeries& t, std::size_t first) {
+  for (std::size_t k = first; k <= t.order(); ++k) {
+    EXPECT_TRUE(is_exact_zero(t[k])) << "coefficient " << k << " = " << t[k];
+  }
+}
+
+TEST(TaylorSeriesSubnormal, ConstantTimesSeries) {
+  const TaylorSeries c(4, Interval{3.0, 3.5});
+  const TaylorSeries t = variable(4, 0.25);
+  for (const TaylorSeries& product : {Interval{0.7} * c, c * t, t * c, c * c}) {
+    expect_normal_bounds(product);
+  }
+  expect_exact_zeros_from(Interval{0.7} * c, 1);
+  expect_exact_zeros_from(c * t, 2);
+  expect_exact_zeros_from(c * c, 1);
+  expect_exact_zeros_from(0.0 * t, 0);
+}
+
+TEST(TaylorSeriesSubnormal, ConstantPlusConstant) {
+  const TaylorSeries a(4, Interval{1.0, 2.0});
+  const TaylorSeries b(4, Interval{-3.0});
+  for (const TaylorSeries& r : {a + b, a - b, a + Interval{0.5}, Interval{0.5} - a, -a}) {
+    expect_normal_bounds(r);
+    expect_exact_zeros_from(r, 1);
+  }
+  // Adding [0, 0] leaves the other operand bit-for-bit unchanged.
+  EXPECT_EQ((a + TaylorSeries(4))[0], a[0]);
+  EXPECT_EQ((TaylorSeries(4) - a)[0], -a[0]);
+}
+
+TEST(TaylorSeriesSubnormal, SinCosOfLinearSeries) {
+  TaylorSeries u(4, Interval{0.3, 0.31});
+  u[1] = Interval{-0.026};
+  const auto [s, c] = sincos(u);
+  expect_normal_bounds(s);
+  expect_normal_bounds(c);
+  // A constant argument has constant sine and cosine.
+  const auto [s0, c0] = sincos(TaylorSeries(4, Interval{1.2}));
+  expect_exact_zeros_from(s0, 1);
+  expect_exact_zeros_from(c0, 1);
+}
+
+TEST(TaylorSeriesSubnormal, AcasFieldWithConstantSpeeds) {
+  namespace ax = acasxu;
+  // Order-4 solution series as the integrator builds them: v_own and v_int
+  // constant, ψ linear under the turn command, x and y full.
+  std::vector<TaylorSeries> s(ax::kStateDim, TaylorSeries(4));
+  s[ax::kIdxX] = variable(4, 1200.0);
+  s[ax::kIdxX][2] = Interval{-3.5, -3.4};
+  s[ax::kIdxY] = variable(4, 6500.0);
+  s[ax::kIdxY][3] = Interval{0.01, 0.02};
+  s[ax::kIdxPsi] = TaylorSeries(4, Interval{2.9, 2.91});
+  s[ax::kIdxPsi][1] = Interval{-0.026};
+  s[ax::kIdxVown] = TaylorSeries(4, Interval{700.0});
+  s[ax::kIdxVint] = TaylorSeries(4, Interval{600.0});
+  for (const double command : {0.0, 0.026}) {
+    const std::vector<TaylorSeries> u{TaylorSeries(4, Interval{command})};
+    std::vector<TaylorSeries> out(ax::kStateDim);
+    ax::KinematicsField{}(std::span<const TaylorSeries>(s), std::span<const TaylorSeries>(u),
+                          std::span<TaylorSeries>(out));
+    for (const TaylorSeries& o : out) {
+      expect_normal_bounds(o);
+    }
+    expect_exact_zeros_from(out[ax::kIdxPsi], 1);
+    expect_exact_zeros_from(out[ax::kIdxVown], 0);
+    expect_exact_zeros_from(out[ax::kIdxVint], 0);
   }
 }
 

@@ -9,7 +9,7 @@
 # Stages (each skippable):
 #   build-test    Release configure/build + full ctest          (always)
 #   sanitizers    tools/run_sanitizers.sh asan + tsan           (--skip-sanitizers)
-#   perf-gate     bench_canonical vs bench/baselines            (--skip-bench)
+#   perf-gate     bench_canonical + domain_loop vs bench/baselines (--skip-bench)
 #   format        clang-format --dry-run on the CI-pinned list  (--skip-format)
 #
 # Stages whose tools are missing (clang-format, sanitizer-capable compiler)
@@ -77,7 +77,11 @@ if [ "$run_bench" -eq 1 ]; then
           --nets acasxu_nets_cache --artifact-dir build-ci/bench-out \
       && build-ci/tools/nncs_bench_compare --max-regress 300 \
           bench/baselines/BENCH_canonical_acasxu_zonotope.json \
-          build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json; then
+          build-ci/bench-out/BENCH_canonical_acasxu_zonotope.json \
+      && build-ci/bench/domain_loop --artifact-dir build-ci/bench-out \
+      && build-ci/tools/nncs_bench_compare --max-regress 300 \
+          bench/baselines/BENCH_domain.json \
+          build-ci/bench-out/BENCH_domain.json; then
     note "perf-gate OK"
   else
     stage_fail "perf-gate"
