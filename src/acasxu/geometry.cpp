@@ -21,6 +21,17 @@ namespace {
 
 constexpr std::size_t kNumFeatures = 5;
 
+/// (x − mean)/range, except that a feature exactly at its mean (v_int at
+/// 600, which the integrator keeps exact) maps to exactly [0, 0]: outward
+/// rounding would widen that zero to subnormal bounds, and every network
+/// layer would then run on subnormals.
+Interval normalize(const Interval& x, double mean, double range) {
+  if (x.lo() == mean && x.hi() == mean) {
+    return Interval{};
+  }
+  return (x - Interval{mean}) / Interval{range};
+}
+
 }  // namespace
 
 Vec normalize_features(const Vec& polar, const Normalization& norm) {
@@ -38,11 +49,11 @@ Box normalize_features(const Box& polar, const Normalization& norm) {
   if (polar.dim() != kNumFeatures) {
     throw std::invalid_argument("normalize_features: expected 5 features");
   }
-  return Box{(polar[0] - Interval{norm.rho_mean}) / Interval{norm.rho_range},
-             (polar[1] - Interval{norm.angle_mean}) / Interval{norm.angle_range},
-             (polar[2] - Interval{norm.angle_mean}) / Interval{norm.angle_range},
-             (polar[3] - Interval{norm.vown_mean}) / Interval{norm.vown_range},
-             (polar[4] - Interval{norm.vint_mean}) / Interval{norm.vint_range}};
+  return Box{normalize(polar[0], norm.rho_mean, norm.rho_range),
+             normalize(polar[1], norm.angle_mean, norm.angle_range),
+             normalize(polar[2], norm.angle_mean, norm.angle_range),
+             normalize(polar[3], norm.vown_mean, norm.vown_range),
+             normalize(polar[4], norm.vint_mean, norm.vint_range)};
 }
 
 Vec mirror_state(const Vec& state) {

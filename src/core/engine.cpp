@@ -32,34 +32,31 @@ int box_compare(const Box& a, const Box& b) {
   return 0;
 }
 
+/// The deterministic order of leaves and jobs: (root_index, depth, box,
+/// command), lexicographically.
+bool key_less(std::size_t a_root, int a_depth, const SymbolicState& a, std::size_t b_root,
+              int b_depth, const SymbolicState& b) {
+  if (a_root != b_root) {
+    return a_root < b_root;
+  }
+  if (a_depth != b_depth) {
+    return a_depth < b_depth;
+  }
+  const int boxes = box_compare(a.box(), b.box());
+  if (boxes != 0) {
+    return boxes < 0;
+  }
+  return a.command < b.command;
+}
+
 }  // namespace
 
 bool cell_outcome_less(const CellOutcome& a, const CellOutcome& b) {
-  if (a.root_index != b.root_index) {
-    return a.root_index < b.root_index;
-  }
-  if (a.depth != b.depth) {
-    return a.depth < b.depth;
-  }
-  const int boxes = box_compare(a.initial.box(), b.initial.box());
-  if (boxes != 0) {
-    return boxes < 0;
-  }
-  return a.initial.command < b.initial.command;
+  return key_less(a.root_index, a.depth, a.initial, b.root_index, b.depth, b.initial);
 }
 
 bool verify_job_less(const VerifyJob& a, const VerifyJob& b) {
-  if (a.root_index != b.root_index) {
-    return a.root_index < b.root_index;
-  }
-  if (a.depth != b.depth) {
-    return a.depth < b.depth;
-  }
-  const int boxes = box_compare(a.cell.box(), b.cell.box());
-  if (boxes != 0) {
-    return boxes < 0;
-  }
-  return a.cell.command < b.cell.command;
+  return key_less(a.root_index, a.depth, a.cell, b.root_index, b.depth, b.cell);
 }
 
 VerificationEngine::VerificationEngine(const ClosedLoop& system, const StateRegion& error,

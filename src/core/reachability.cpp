@@ -58,6 +58,9 @@ ReachStats& ReachStats::operator+=(const ReachStats& other) {
 
 namespace {
 
+// States per step_abstract_batch call; one call per step measured slower (pendulum, Γ = 12).
+constexpr std::size_t kControllerBatch = 8;
+
 void validate(const ClosedLoop& system, const SymbolicSet& initial, const ReachConfig& config) {
   if (system.plant == nullptr || system.controller == nullptr) {
     throw std::invalid_argument("reach_analyze: plant and controller must be set");
@@ -181,7 +184,6 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
   // The only domain dispatch of the analysis: everything below runs the
   // same batched three-sweep body through this policy.
   const std::unique_ptr<DomainPolicy> policy = make_policy(system, config);
-  const std::size_t nn_batch = std::max<std::size_t>(std::size_t{1}, config.nn_batch);
 
   SymbolicSet current = initial;
   bool terminated = false;
@@ -281,16 +283,16 @@ ReachResult reach_analyze(const ClosedLoop& system, const SymbolicSet& initial,
 
     // Sweep 2: abstract controller execution on the *sampled* states at
     // t = jT (the command computed at step j is applied from (j+1)T on),
-    // chunked to nn_batch. Relational queries feed the sampled affine set
-    // straight into Pre# → F# → Post#, so the correlations the integrator
-    // preserved prune commands a box sample could not.
+    // chunked to kControllerBatch. Relational queries feed the sampled
+    // affine set straight into Pre# → F# → Post#, so the correlations the
+    // integrator preserved prune commands a box sample could not.
     phase_watch.reset();
     std::vector<AbstractControlStep> ctrl_steps;
     ctrl_steps.reserve(active.size());
     std::vector<AbstractState> batch_states;
     std::vector<std::size_t> batch_commands;
-    for (std::size_t begin = 0; begin < active.size(); begin += nn_batch) {
-      const std::size_t end = std::min(active.size(), begin + nn_batch);
+    for (std::size_t begin = 0; begin < active.size(); begin += kControllerBatch) {
+      const std::size_t end = std::min(active.size(), begin + kControllerBatch);
       batch_states.clear();
       batch_commands.clear();
       for (std::size_t k = begin; k < end; ++k) {

@@ -267,12 +267,21 @@ Interval trig_enclosure(const Interval& x, double (*f)(double), double max_offse
 
 }  // namespace
 
+// sin(0) = 0 and cos(0) = 1 are exact; widening them by kLibmUlps would put
+// subnormal bounds around an angle that is exactly zero.
+
 Interval sin(const Interval& x) {
+  if (x.lo() == 0.0 && x.hi() == 0.0) {
+    return Interval{};
+  }
   return trig_enclosure(
       x, +[](double v) { return std::sin(v); }, kPi / 2.0, -kPi / 2.0);
 }
 
 Interval cos(const Interval& x) {
+  if (x.lo() == 0.0 && x.hi() == 0.0) {
+    return Interval{1.0};
+  }
   return trig_enclosure(
       x, +[](double v) { return std::cos(v); }, 0.0, -kPi);
 }

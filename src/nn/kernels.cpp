@@ -1,9 +1,6 @@
 #include "nn/kernels.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
-#include <string>
 
 #include "interval/interval.hpp"
 
@@ -42,22 +39,8 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-Isa resolve_isa(const char* env_value, bool cpu_avx2) {
-  if (env_value != nullptr) {
-    const std::string v(env_value);
-    if (v == "portable" || v == "off" || v == "scalar") {
-      return Isa::kPortable;
-    }
-    if (v == "avx2") {
-      return cpu_avx2 ? Isa::kAvx2 : Isa::kPortable;
-    }
-    // "auto", empty and unknown values all fall through to detection.
-  }
-  return cpu_avx2 ? Isa::kAvx2 : Isa::kPortable;
-}
-
 Isa active_isa() {
-  static const Isa isa = resolve_isa(std::getenv("NNCS_NN_SIMD"), cpu_supports_avx2());
+  static const Isa isa = cpu_supports_avx2() ? Isa::kAvx2 : Isa::kPortable;
   return isa;
 }
 

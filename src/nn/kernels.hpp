@@ -45,14 +45,8 @@ enum class Isa {
 /// AVX2+FMA at runtime.
 [[nodiscard]] bool cpu_supports_avx2();
 
-/// Pure resolution of the `NNCS_NN_SIMD` override ("auto" | "portable" |
-/// "avx2"; unset/unknown = auto) against CPU support. "avx2" on a machine
-/// without it silently degrades to portable — the results are identical
-/// anyway, only the speed differs.
-[[nodiscard]] Isa resolve_isa(const char* env_value, bool cpu_avx2);
-
-/// The process-wide kernel back end: `resolve_isa(getenv("NNCS_NN_SIMD"),
-/// cpu_supports_avx2())`, resolved once on first use.
+/// The process-wide kernel back end: AVX2 when `cpu_supports_avx2()`,
+/// portable otherwise, resolved once on first use.
 [[nodiscard]] Isa active_isa();
 
 /// A batch of interval activation vectors, SoA over the lanes:

@@ -18,7 +18,8 @@ Box picard_image(const Dynamics& f, const Box& s0, const Vec& u, double h, const
   std::vector<Interval> out;
   out.reserve(s0.dim());
   for (std::size_t i = 0; i < s0.dim(); ++i) {
-    out.push_back(s0[i] + tau * fc[i]);
+    // A zero derivative leaves s0 exact (the exact-zero rule of TaylorSeries).
+    out.push_back(is_exact_zero(fc[i]) ? s0[i] : s0[i] + tau * fc[i]);
   }
   return Box{std::move(out)};
 }
@@ -159,8 +160,13 @@ std::optional<ValidatedStep> TaylorIntegrator::step(const Dynamics& f, const Box
   flow_dims.reserve(dim);
   for (std::size_t i = 0; i < dim; ++i) {
     const Interval rem = remainder[i][order];
-    Interval end_i = prefix[i].eval(t_end) + rem * pow(t_end, config_.order);
-    Interval flow_i = prefix[i].eval(t_flow) + rem * pow(t_flow, config_.order);
+    Interval end_i = prefix[i].eval(t_end);
+    Interval flow_i = prefix[i].eval(t_flow);
+    // Exact-zero rule: a [0, 0] remainder adds nothing, so it must not widen.
+    if (!is_exact_zero(rem)) {
+      end_i = end_i + rem * pow(t_end, config_.order);
+      flow_i = flow_i + rem * pow(t_flow, config_.order);
+    }
     // Both the Taylor form and the a-priori enclosure are sound, so their
     // intersection is too (and is never empty: both contain the true set).
     if (auto tight = intersect(flow_i, b[i])) {

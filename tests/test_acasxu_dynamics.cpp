@@ -227,6 +227,9 @@ TEST(AcasGeometry, NormalizationRoundTrip) {
                       Interval{700.0}, Interval{600.0}};
   const Box nb = normalize_features(polar_box, norm);
   EXPECT_TRUE(nb[0].contains((7500.0 - norm.rho_mean) / norm.rho_range));
+  EXPECT_TRUE(nb[3].contains(50.0 / norm.vown_range));
+  // v_int exactly at its mean: exactly [0, 0], not subnormal bounds.
+  EXPECT_EQ(nb[4], Interval{});
 }
 
 }  // namespace

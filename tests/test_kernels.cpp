@@ -137,22 +137,6 @@ TEST(Kernels, NextUpDownMatchNextafter) {
   }
 }
 
-TEST(Kernels, ResolveIsaParsesEnvValues) {
-  using kern::Isa;
-  using kern::resolve_isa;
-  EXPECT_EQ(resolve_isa(nullptr, /*cpu_avx2=*/true), Isa::kAvx2);
-  EXPECT_EQ(resolve_isa(nullptr, /*cpu_avx2=*/false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("auto", true), Isa::kAvx2);
-  EXPECT_EQ(resolve_isa("portable", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("off", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("scalar", true), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("avx2", true), Isa::kAvx2);
-  // Requesting avx2 on a CPU without it degrades to portable, not UB.
-  EXPECT_EQ(resolve_isa("avx2", false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("garbage", false), Isa::kPortable);
-  EXPECT_EQ(resolve_isa("", true), Isa::kAvx2);
-}
-
 TEST(Kernels, IntervalBatchBitwiseEqualsScalar) {
   const std::vector<std::vector<std::size_t>> shapes = {
       {3, 8, 8, 2}, {2, 5, 5, 5, 3}, {1, 4, 1}, {5, 16, 5}};

@@ -137,6 +137,28 @@ TEST(TaylorIntegrator, HigherOrderIsTighter) {
   EXPECT_LE(step_high->end[0].width(), step_low->end[0].width());
 }
 
+TEST(TaylorIntegrator, ConstantDimensionsStayExact) {
+  // v_own' = v_int' = 0 on ACAS Xu: their zero Picard and remainder terms
+  // must not widen the speeds, however many steps are chained.
+  namespace ax = acasxu;
+  const auto f = ax::make_dynamics();
+  const TaylorIntegrator integrator(TaylorIntegrator::Config{4, {}});
+  for (const std::size_t advisory : {std::size_t{0}, std::size_t{2}}) {
+    Box s{Interval{1200.0, 1250.0}, Interval{6500.0, 6550.0}, Interval{2.9, 2.91},
+          Interval{700.0}, Interval{600.0}};
+    const Vec u{ax::turn_rate(advisory)};
+    for (int k = 0; k < 200; ++k) {
+      const auto step = integrator.step(*f, s, u, 0.1);
+      ASSERT_TRUE(step.has_value()) << "advisory " << advisory << " step " << k;
+      EXPECT_EQ(step->flow[ax::kIdxVown], Interval{700.0});
+      EXPECT_EQ(step->flow[ax::kIdxVint], Interval{600.0});
+      s = step->end;
+    }
+    EXPECT_EQ(s[ax::kIdxVown], Interval{700.0}) << "advisory " << advisory;
+    EXPECT_EQ(s[ax::kIdxVint], Interval{600.0}) << "advisory " << advisory;
+  }
+}
+
 TEST(EulerIntegrator, SoundButLooserThanTaylor) {
   const auto f = make_dynamics(1, 1, DecayField{});
   const EulerIntegrator euler;

@@ -1,15 +1,19 @@
 // Tests for Algorithm 3 (the closed-loop reachability analysis): error
 // detection, termination, horizon semantics, branching, Γ enforcement, the
-// unsound discrete-instant baseline, and the sampled-set soundness property
-// against the concrete simulator.
+// unsound discrete-instant baseline, the sampled-set soundness property
+// against the concrete simulator, and batched-vs-per-state controller steps.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <filesystem>
 #include <numbers>
 
 #include "closed_loop_fixtures.hpp"
 #include "core/simulate.hpp"
 #include "ode/concrete_integrator.hpp"
+#include "scenario/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace nncs {
@@ -353,6 +357,114 @@ TEST(ReachabilityLoopDomain, ZonotopeTighterThanBoxOnRotation) {
   }
 }
 
+// ------------------------------------------- batched controller stepping
+
+/// Forwards every state to the inner controller's single-state steps, so
+/// its `step_abstract_batch` is the base-class default loop: one state per
+/// call.
+class PerStateController final : public Controller {
+ public:
+  explicit PerStateController(const Controller& inner) : inner_(inner) {}
+  [[nodiscard]] const CommandSet& commands() const override { return inner_.commands(); }
+  [[nodiscard]] std::size_t state_dim() const override { return inner_.state_dim(); }
+  [[nodiscard]] std::size_t step(const Vec& state, std::size_t prev) const override {
+    return inner_.step(state, prev);
+  }
+  [[nodiscard]] AbstractControlStep step_abstract(const Box& state,
+                                                  std::size_t prev) const override {
+    return inner_.step_abstract(state, prev);
+  }
+  [[nodiscard]] AbstractControlStep step_abstract_relational(
+      const AffineSet& state, std::size_t prev) const override {
+    return inner_.step_abstract_relational(state, prev);
+  }
+
+ private:
+  const Controller& inner_;
+};
+
+bool boxes_bitwise_eq(const Box& a, const Box& b) {
+  if (a.dim() != b.dim()) {
+    return false;
+  }
+  for (std::size_t d = 0; d < a.dim(); ++d) {
+    if (std::bit_cast<std::uint64_t>(a[d].lo()) != std::bit_cast<std::uint64_t>(b[d].lo()) ||
+        std::bit_cast<std::uint64_t>(a[d].hi()) != std::bit_cast<std::uint64_t>(b[d].hi())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Runs every fourth smoke cell of the scenario through `reach_analyze`
+/// twice, with the batched `NeuralController` and with one state per call,
+/// and requires identical analyses.
+void expect_batched_matches_per_state(const char* name, LoopDomain domain) {
+  const scenario::Scenario& scen = scenario::Registry::global().at(name);
+  scenario::SystemConfig sys_config;
+  sys_config.nets_dir = std::filesystem::path(NNCS_SOURCE_DIR) / (scen.name() + "_nets_cache");
+  // No memo: the per-state run must propagate, not replay the batched run.
+  sys_config.nn_cache.mode = NnCacheMode::kOff;
+  const scenario::System system = scen.make_system(sys_config);
+  const PerStateController per_state(*system.controller);
+  ClosedLoop per_state_loop = system.loop;
+  per_state_loop.controller = &per_state;
+  const auto error = scen.make_error_region();
+  const auto target = scen.make_target_region();
+
+  const TaylorIntegrator integrator(TaylorIntegrator::Config{scen.default_taylor_order(), {}});
+  ReachConfig config = scen.default_config().reach;
+  config.integrator = &integrator;
+  config.domain = domain;
+  const scenario::SmokeSpec spec = scen.smoke();
+  if (spec.control_steps > 0) {
+    config.control_steps = spec.control_steps;
+  }
+
+  const SymbolicSet cells = scenario::to_symbolic_set(scen.make_cells(spec.partition));
+  std::size_t multi_state_cells = 0;
+  for (std::size_t c = 0; c < cells.size(); c += 4) {
+    SCOPED_TRACE(std::string(name) + " cell " + std::to_string(c));
+    const SymbolicSet initial{cells[c]};
+    const ReachResult batched = reach_analyze(system.loop, initial, *error, *target, config);
+    const ReachResult single = reach_analyze(per_state_loop, initial, *error, *target, config);
+    EXPECT_EQ(batched.outcome, single.outcome);
+    EXPECT_EQ(batched.stats.steps_executed, single.stats.steps_executed);
+    EXPECT_EQ(batched.stats.joins, single.stats.joins);
+    EXPECT_EQ(batched.stats.max_states, single.stats.max_states);
+    EXPECT_EQ(batched.stats.total_simulations, single.stats.total_simulations);
+    EXPECT_EQ(batched.offending_step, single.offending_step);
+    ASSERT_EQ(batched.offending.has_value(), single.offending.has_value());
+    if (batched.offending) {
+      EXPECT_EQ(batched.offending->command, single.offending->command);
+      EXPECT_TRUE(boxes_bitwise_eq(batched.offending->box(), single.offending->box()));
+    }
+    ASSERT_EQ(batched.sampled_sets.size(), single.sampled_sets.size());
+    for (std::size_t j = 0; j < batched.sampled_sets.size(); ++j) {
+      const SymbolicSet& a = batched.sampled_sets[j];
+      const SymbolicSet& b = single.sampled_sets[j];
+      ASSERT_EQ(a.size(), b.size()) << "step " << j;
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].command, b[k].command) << "step " << j << " state " << k;
+        EXPECT_EQ(a[k].abstract.has_relational(), b[k].abstract.has_relational())
+            << "step " << j << " state " << k;
+        EXPECT_TRUE(boxes_bitwise_eq(a[k].box(), b[k].box())) << "step " << j << " state " << k;
+      }
+    }
+    multi_state_cells += batched.stats.max_states >= 2 ? 1 : 0;
+  }
+  // Some control steps must hand the controller several states at once, or
+  // the batched path was never compared against per-state stepping.
+  EXPECT_GT(multi_state_cells, 0u);
+}
+
+TEST(ReachBatching, AcasxuBoxMatchesPerStateStepping) {
+  expect_batched_matches_per_state("acasxu", LoopDomain::kBox);
+}
+
+TEST(ReachBatching, PendulumZonotopeMatchesPerStateStepping) {
+  expect_batched_matches_per_state("pendulum", LoopDomain::kZonotope);
+}
 
 }  // namespace
 }  // namespace nncs

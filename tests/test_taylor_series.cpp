@@ -216,6 +216,15 @@ TEST(TaylorSeriesSubnormal, SinCosOfLinearSeries) {
   const auto [s0, c0] = sincos(TaylorSeries(4, Interval{1.2}));
   expect_exact_zeros_from(s0, 1);
   expect_exact_zeros_from(c0, 1);
+  // An angle that is exactly 0: sin(0) = 0 and cos(0) = 1 exactly, so no
+  // bound of either series turns subnormal.
+  TaylorSeries z(4);
+  z[1] = Interval{-0.026};
+  const auto [sz, cz] = sincos(z);
+  expect_normal_bounds(sz);
+  expect_normal_bounds(cz);
+  EXPECT_TRUE(is_exact_zero(sz[0]));
+  EXPECT_EQ(cz[0], Interval{1.0});
 }
 
 TEST(TaylorSeriesSubnormal, AcasFieldWithConstantSpeeds) {

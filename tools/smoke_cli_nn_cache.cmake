@@ -1,5 +1,5 @@
-# End-to-end NN query cache smoke for nncs_acasxu_cli, run as a ctest
-# `cmake -P` script (see tools/CMakeLists.txt):
+# End-to-end NN query cache smoke for `nncs_verify --scenario acasxu`,
+# run as a ctest `cmake -P` script (see tools/CMakeLists.txt):
 #
 #   1. --nn-cache off reference run (--canonical-report)
 #   2. --nn-cache memo: exact-match memoization only replays identical
@@ -9,11 +9,11 @@
 #   3. --nn-cache containment is refused with the usage exit code 2, like
 #      any value other than off|memo, and writes no report
 #
-# Required -D variables: CLI (binary), NETS (network cache dir), OUT (scratch
+# Required -D variables: VERIFY (binary), NETS (network cache dir), OUT (scratch
 # directory for the generated files).
 
-if(NOT DEFINED CLI OR NOT DEFINED NETS OR NOT DEFINED OUT)
-  message(FATAL_ERROR "smoke_cli_nn_cache: pass -DCLI=... -DNETS=... -DOUT=...")
+if(NOT DEFINED VERIFY OR NOT DEFINED NETS OR NOT DEFINED OUT)
+  message(FATAL_ERROR "smoke_cli_nn_cache: pass -DVERIFY=... -DNETS=... -DOUT=...")
 endif()
 
 file(MAKE_DIRECTORY ${OUT})
@@ -22,7 +22,7 @@ set(COMMON --steps 10 --m 4 --order 3 --threads 4
     --nets ${NETS} --quiet --canonical-report)
 
 function(run_cli expected_code log out_var)
-  execute_process(COMMAND ${CLI} ${ARGN}
+  execute_process(COMMAND ${VERIFY} --scenario acasxu ${ARGN}
     RESULT_VARIABLE code OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
   if(NOT code EQUAL expected_code)
     message(FATAL_ERROR "${log}: expected exit ${expected_code}, got ${code}\n"
